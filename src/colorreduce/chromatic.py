@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ConstructionError, ParameterError
 from .graphs import ColoredGraph
 from .nbhd import NbhdGraph
 from .views import View, canonical_encode
@@ -221,10 +221,12 @@ def is_k_colorable(g, k: int, budget: int = 1_000_000):
 
 
 def _check_witness(adj, colors, k):
-    assert all(1 <= c <= k for c in colors)
+    if not all(1 <= c <= k for c in colors):
+        raise ConstructionError(f"witness coloring uses a color outside [1, {k}]")
     for v, nbrs in enumerate(adj):
         for u in nbrs:
-            assert colors[u] != colors[v], "witness coloring is improper"
+            if colors[u] == colors[v]:
+                raise ConstructionError(f"witness coloring is improper on edge {v}-{u}")
 
 
 def chi_exact(g, budget: int = 1_000_000) -> ChiResult:

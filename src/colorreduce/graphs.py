@@ -205,16 +205,6 @@ def assignment_to_json(phi: ColorAssignment) -> dict:
     return {"colors": list(phi.colors), "palette": phi.palette}
 
 
-def assignment_from_json(data: dict) -> ColorAssignment:
-    return ColorAssignment(tuple(data["colors"]), data["palette"])
-
-
 def load_graph(path) -> ColoredGraph:
     with open(path) as fh:
         return graph_from_json(json.load(fh))
-
-
-def save_graph(g: ColoredGraph, path):
-    with open(path, "w") as fh:
-        json.dump(graph_to_json(g), fh, sort_keys=True)
-        fh.write("\n")

@@ -16,7 +16,12 @@ complete graph on the m colors:
 * setlocal: the views actually realizable in properly m-colored trees of
             max degree <= delta under set delivery, with edges between
             views co-realizable at adjacent tree nodes; built by
-            exhaustive enumeration of bounded-depth rooted colored trees.
+            enumerating bounded-depth rooted colored trees whose sibling
+            subtrees are pairwise distinct.  That loses nothing: under
+            set delivery a node cannot tell two identical sibling
+            subtrees from one, so merging them changes no surviving
+            node's view, and every tree maps onto such a set-reduced
+            tree with the same views.
 
 The recursive families blow up exponentially; builders project their
 vertex count first and refuse to exceed an explicit cap.
@@ -29,8 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
 from .errors import CapExceededError, ConstructionError, ParameterError
-from .graphs import ColoredGraph
-from .views import MULTISET, SET, View, canonical_encode, extract_all_views
+from .views import MULTISET, SET, View, canonical_encode
 
 DEFAULT_CAP = 2_000_000
 
@@ -82,7 +86,7 @@ def mutual_edge(u: View, v: View) -> bool:
     return u.inner in v.child_lookup and v.inner in u.child_lookup
 
 
-@dataclass
+@dataclass(frozen=True)
 class NbhdGraph:
     """A finite neighborhood graph with a canonical vertex order.
 
@@ -98,11 +102,10 @@ class NbhdGraph:
     variant: str
     vertices: tuple[View, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    _index: dict = field(default_factory=dict, repr=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {v: i for i, v in enumerate(self.vertices)}
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
 
     @property
     def n_vertices(self) -> int:
@@ -146,12 +149,18 @@ class NbhdGraph:
         }
 
 
-def _finish(family, m, degree_param, level, variant, vertices) -> NbhdGraph:
-    """Sort vertices canonically and wire edges by the mutual-membership rule."""
+def _finish(family, m, degree_param, level, variant, vertices, edges=None) -> NbhdGraph:
+    """Sort vertices canonically and wire edges: the given (View, View)
+    pairs if any, else the mutual-membership rule."""
     ordered = tuple(sorted(set(vertices), key=canonical_encode))
-    index = {v: i for i, v in enumerate(ordered)}
     nbrs = [set() for _ in ordered]
-    if level == 0:
+    if edges is not None:
+        index = {v: i for i, v in enumerate(ordered)}
+        for u, v in edges:
+            i, j = index[u], index[v]
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    elif level == 0:
         for i in range(len(ordered)):
             nbrs[i] = set(range(len(ordered))) - {i}
     else:
@@ -166,7 +175,7 @@ def _finish(family, m, degree_param, level, variant, vertices) -> NbhdGraph:
                         nbrs[i].add(j)
                         nbrs[j].add(i)
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    return NbhdGraph(family, m, degree_param, level, variant, ordered, adjacency, index)
+    return NbhdGraph(family, m, degree_param, level, variant, ordered, adjacency)
 
 
 def _clique_vertices(m, kind):
@@ -258,7 +267,7 @@ def build_typed(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
     return build_typed_levels(r, m, d, cap)[-1]
 
 
-# --- setlocal: exhaustive enumeration of bounded-depth colored trees ----
+# --- setlocal: enumeration of set-reduced bounded-depth colored trees ----
 
 def _tree_count(m, delta, depth, budget, forbidden, memo):
     """Number of canonical rooted colored trees the enumerator will emit."""
@@ -271,13 +280,14 @@ def _tree_count(m, delta, depth, budget, forbidden, memo):
         total = colors
     else:
         per_color_options = _tree_count(m, delta, depth - 1, delta - 1, True, memo)
-        total = colors * _multiset_count(per_color_options, budget)
+        total = colors * _subset_count(per_color_options, budget)
     memo[key] = total
     return total
 
 
 def _rooted_trees(m, delta, depth, budget, forbidden, memo):
-    """All rooted colored trees as nested (color, (children...)) tuples.
+    """All set-reduced rooted colored trees as nested (color, (children...))
+    tuples: no node has two identical child subtrees.
 
     depth bounds the distance from the root, budget the root's child
     count; non-root nodes keep one degree slot for their parent.  The
@@ -295,29 +305,11 @@ def _rooted_trees(m, delta, depth, budget, forbidden, memo):
         for c in colors:
             subtrees = _rooted_trees(m, delta, depth - 1, delta - 1, c, memo)
             for k in range(budget + 1):
-                for combo in combinations_with_replacement(subtrees, k):
+                for combo in combinations(subtrees, k):
                     out.append((c, combo))
     out = tuple(out)
     memo[key] = out
     return out
-
-
-def _tree_to_graph(tree, m, delta):
-    """Materialize nested tuples as a ColoredGraph rooted at node 0."""
-    psi = []
-    edges = []
-
-    def add(node, parent):
-        idx = len(psi)
-        psi.append(node[0])
-        if parent is not None:
-            edges.append((parent, idx))
-        for child in node[1]:
-            add(child, idx)
-        return idx
-
-    add(tree, None)
-    return ColoredGraph.from_edges(len(psi), edges, psi, m, delta)
 
 
 def build_setlocal(r: int, m: int, delta: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
@@ -326,8 +318,12 @@ def build_setlocal(r: int, m: int, delta: int, cap: int = DEFAULT_CAP) -> NbhdGr
     Vertices come from all rooted trees of depth <= r (root degree <=
     delta); edges from all pairs of depth <= r trees joined by a fresh
     edge between their roots, so the joined tree has depth <= r+1.
-    Deduplication is canonical on the extracted views.  Intended for
-    r <= 2 at small (m, delta).
+    Only set-reduced trees are enumerated (no two identical sibling
+    subtrees): under set delivery a node receives the set of its
+    neighbors' messages, so a repeated identical subtree is invisible and
+    merging it changes no remaining node's view.  The views come from a
+    top-down recursion memoized for the duration of the call, with no
+    graph materialized.  Intended for r <= 2 at small (m, delta).
     """
     if r < 0 or m < 2 or delta < 1:
         raise ParameterError("need r >= 0, m >= 2, delta >= 1")
@@ -339,48 +335,42 @@ def build_setlocal(r: int, m: int, delta: int, cap: int = DEFAULT_CAP) -> NbhdGr
     projected = n_vertex_trees + n_hang_trees * n_hang_trees
     if projected > cap:
         raise CapExceededError(projected, cap, what="enumerated trees")
-    memo: dict = {}
-    vertex_views = set()
-    for tree in _rooted_trees(m, delta, r, delta, None, memo):
-        g = _tree_to_graph(tree, m, delta)
-        vertex_views.add(extract_all_views(g, r, SET)[0])
+
+    leaves = {c: View.leaf(SET, c) for c in range(1, m + 1)}
+    view_memo: dict = {}
+
+    def hang(t, k, p):
+        """k-view of the root of tree t whose parent's (k-1)-view is p
+        (None for a root without parent)."""
+        if k == 0:
+            return leaves[t[0]]
+        key = (t, k, p)
+        got = view_memo.get(key)
+        if got is not None:
+            return got
+        own = hang(t, k - 1, None if p is None else p.inner)
+        nbrs = [hang(c, k - 1, own.inner) for c in t[1]]
+        if p is not None:
+            nbrs.append(p)
+        out = View.make(SET, own, nbrs)
+        view_memo[key] = out
+        return out
+
+    tree_memo: dict = {}
+    vertex_views = {hang(t, r, None) for t in _rooted_trees(m, delta, r, delta, None, tree_memo)}
     edge_pairs = set()
-    hangs = _rooted_trees(m, delta, r, delta - 1, None, memo)
+    hangs = _rooted_trees(m, delta, r, delta - 1, None, tree_memo)
     for tu in hangs:
         for tv in hangs:
             if tu[0] == tv[0]:
                 continue
-            psi = []
-            edges = []
-
-            def add(node, parent):
-                idx = len(psi)
-                psi.append(node[0])
-                if parent is not None:
-                    edges.append((parent, idx))
-                for child in node[1]:
-                    add(child, idx)
-                return idx
-
-            ru = add(tu, None)
-            rv = add(tv, None)
-            edges.append((ru, rv))
-            g = ColoredGraph.from_edges(len(psi), edges, psi, m, delta)
-            all_views = extract_all_views(g, r, SET)
-            vu, vv = all_views[ru], all_views[rv]
+            vu, vv = leaves[tu[0]], leaves[tv[0]]
+            for k in range(1, r + 1):
+                vu, vv = hang(tu, k, vv), hang(tv, k, vu)
             if vu not in vertex_views or vv not in vertex_views:
                 raise ConstructionError("joined-tree view missing from vertex enumeration")
             edge_pairs.add((vu, vv))
-            edge_pairs.add((vv, vu))
-    graph = _finish(SETLOCAL, m, delta, r, SET, vertex_views)
-    # replace rule-derived adjacency with the realizability relation
-    nbrs = [set() for _ in graph.vertices]
-    for vu, vv in edge_pairs:
-        i, j = graph.vertex_index(vu), graph.vertex_index(vv)
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    graph.adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    return graph
+    return _finish(SETLOCAL, m, delta, r, SET, vertex_views, edge_pairs)
 
 
 # --- homomorphisms -------------------------------------------------------

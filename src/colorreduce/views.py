@@ -48,8 +48,8 @@ class View:
         self_set(self, "child_size", sum(cnt for _, cnt in children))
         self_set(self, "digest", digest)
         self_set(self, "_enc", None)
-        pool[digest] = self
-        return self
+        # setdefault is atomic, so racing threads all get the first object
+        return pool.setdefault(digest, self)
 
     @classmethod
     def leaf(cls, kind, color):
@@ -114,15 +114,6 @@ class View:
 
     def distinct_children(self):
         return tuple(c for c, _ in self.children)
-
-    def contains_child(self, child) -> bool:
-        return child in self.child_lookup
-
-    def child_count(self, child) -> int:
-        for c, n in self.children:
-            if c is child:
-                return n
-        return 0
 
 
 def canonical_encode(view: View) -> bytes:

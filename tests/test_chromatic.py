@@ -1,14 +1,18 @@
 """Chromatic solver, clique bounds, DIMACS round trips."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from colorreduce import (MULTISET, SET, ParameterError, build_local1,
-                         build_relaxed, chi_exact, dsatur, embedded_clique,
-                         export_dimacs, greedy_clique, is_k_colorable,
-                         read_dimacs)
-from colorreduce.chromatic import as_adjacency
+import colorreduce
+from colorreduce import (MULTISET, SET, ConstructionError, ParameterError,
+                         build_local1, build_relaxed, chi_exact, dsatur,
+                         embedded_clique, export_dimacs, greedy_clique,
+                         is_k_colorable, read_dimacs)
+from colorreduce.chromatic import _check_witness, as_adjacency
 
 TRIANGLE = [[1, 2], [0, 2], [0, 1]]
 
@@ -171,3 +175,42 @@ def test_dimacs_triangle(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "p edge 3 3"
     assert len([ln for ln in lines if ln.startswith("e ")]) == 3
+
+
+def test_improper_witness_raises():
+    adj = as_adjacency(TRIANGLE)
+    _check_witness(adj, [1, 2, 3], 3)
+    with pytest.raises(ConstructionError):
+        _check_witness(adj, [1, 1, 2], 3)
+    with pytest.raises(ConstructionError):
+        _check_witness(adj, [1, 2, 4], 3)
+
+
+OPTIMIZED_SCRIPT = """
+import sys
+from colorreduce import ConstructionError, chromatic
+cycle5 = [[1, 4], [0, 2], [1, 3], [2, 4], [3, 0]]
+status, witness = chromatic.is_k_colorable(cycle5, 3)
+print(sys.flags.optimize, status, witness)
+chromatic._search_k_coloring = lambda adj, k, budget: ("yes", [1] * len(adj))
+try:
+    chromatic.is_k_colorable(cycle5, 3)
+except ConstructionError:
+    print("improper witness rejected")
+else:
+    print("improper witness accepted")
+"""
+
+
+def test_witness_check_survives_python_optimize():
+    src = str(Path(colorreduce.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    first, second = proc.stdout.splitlines()
+    optimize, status, witness = first.split(" ", 2)
+    assert (optimize, status) == ("1", "yes")
+    colors = [int(c) for c in witness.strip("[]").split(",")]
+    _check_witness(as_adjacency([[1, 4], [0, 2], [1, 3], [2, 4], [3, 0]]), colors, 3)
+    assert second == "improper witness rejected"

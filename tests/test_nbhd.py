@@ -1,14 +1,17 @@
 """Neighborhood graph families, accessors, and homomorphisms."""
 
+from dataclasses import FrozenInstanceError
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from colorreduce import (BOTTOM, CapExceededError, HomMap, MULTISET, SET,
-                         View, build_local1, build_relaxed, build_setlocal,
-                         build_typed, center, chi_exact, mutual_edge,
+from colorreduce import (BOTTOM, CapExceededError, ColoredGraph, HomMap,
+                         MULTISET, SET, View, build_local1, build_relaxed,
+                         build_setlocal, build_typed, canonical_encode, center,
+                         chi_exact, extract_all_views, mutual_edge,
                          relaxed_to_typed_hom, typed_to_setlocal_hom, types,
                          verify_homomorphism)
+from colorreduce.nbhd import _rooted_trees
 
 
 def leaf(kind, c):
@@ -145,7 +148,7 @@ def oracle_setlocal_recursive(r, m, delta):
 
 
 def test_setlocal_matches_recursive_oracle():
-    for r, m, delta in ((1, 3, 2), (2, 3, 2), (1, 4, 2), (2, 4, 2)):
+    for r, m, delta in ((1, 3, 2), (2, 3, 2), (1, 4, 2), (2, 4, 2), (2, 3, 3)):
         built = build_setlocal(r, m, delta)
         vertices, edges = oracle_setlocal_recursive(r, m, delta)
         assert set(built.vertices) == vertices
@@ -153,6 +156,94 @@ def test_setlocal_matches_recursive_oracle():
             frozenset((built.vertices[i], built.vertices[j])) for i, j in built.edges()
         }
         assert built_edges == edges
+
+
+def oracle_multiset_trees(m, delta, depth, budget, forbidden):
+    """Every rooted colored tree, repeated identical sibling subtrees
+    included, as nested (color, (children...)) tuples."""
+    colors = [c for c in range(1, m + 1) if c != forbidden]
+    if depth == 0:
+        return [(c, ()) for c in colors]
+    out = []
+    for c in colors:
+        subtrees = oracle_multiset_trees(m, delta, depth - 1, delta - 1, c)
+        for k in range(budget + 1):
+            out.extend((c, combo) for combo in combinations_with_replacement(subtrees, k))
+    return out
+
+
+def oracle_tree_graph(trees, m, delta):
+    """Materialize nested-tuple trees as one ColoredGraph, with an edge
+    between their roots when two are given; returns (graph, roots)."""
+    psi, edges = [], []
+
+    def add(node, parent):
+        idx = len(psi)
+        psi.append(node[0])
+        if parent is not None:
+            edges.append((parent, idx))
+        for child in node[1]:
+            add(child, idx)
+        return idx
+
+    roots = [add(t, None) for t in trees]
+    if len(roots) == 2:
+        edges.append(tuple(roots))
+    return ColoredGraph.from_edges(len(psi), edges, psi, m, delta), roots
+
+
+def oracle_setlocal_brute_force(r, m, delta):
+    """Views extracted from every materialized multiset tree and from every
+    joined pair of trees; sorted canonically, edges by realizability."""
+    vertex_views = set()
+    for tree in oracle_multiset_trees(m, delta, r, delta, None):
+        g, (root,) = oracle_tree_graph([tree], m, delta)
+        vertex_views.add(extract_all_views(g, r, SET)[root])
+    hangs = oracle_multiset_trees(m, delta, r, delta - 1, None)
+    pairs = set()
+    for tu in hangs:
+        for tv in hangs:
+            if tu[0] != tv[0]:
+                g, (ru, rv) = oracle_tree_graph([tu, tv], m, delta)
+                views = extract_all_views(g, r, SET)
+                pairs.add((views[ru], views[rv]))
+    vertices = sorted(vertex_views, key=canonical_encode)
+    index = {v: i for i, v in enumerate(vertices)}
+    nbrs = [set() for _ in vertices]
+    for u, v in pairs:
+        nbrs[index[u]].add(index[v])
+        nbrs[index[v]].add(index[u])
+    return vertices, [sorted(s) for s in nbrs]
+
+
+@pytest.mark.parametrize("r,m,delta", [(1, 3, 2), (1, 5, 3), (2, 3, 2), (2, 4, 2), (2, 3, 3)])
+def test_setlocal_matches_brute_force_oracle(r, m, delta):
+    built = build_setlocal(r, m, delta)
+    vertices, adjacency = oracle_setlocal_brute_force(r, m, delta)
+    assert [canonical_encode(v) for v in built.vertices] == [canonical_encode(v) for v in vertices]
+    assert [list(nbrs) for nbrs in built.adjacency] == adjacency
+
+
+def test_setlocal_reaches_2_4_3():
+    g = build_setlocal(2, 4, 3)
+    assert (g.n_vertices, g.n_edges) == (1196, 26934)
+
+
+def test_setlocal_cap_projects_enumerated_trees():
+    memo: dict = {}
+    n_vertex_trees = len(_rooted_trees(3, 3, 2, 3, None, memo))
+    n_hang_trees = len(_rooted_trees(3, 3, 2, 2, None, memo))
+    assert (n_vertex_trees, n_hang_trees) == (279, 111)
+    with pytest.raises(CapExceededError) as err:
+        build_setlocal(2, 3, 3, cap=1000)
+    assert err.value.projected == n_vertex_trees + n_hang_trees ** 2
+
+
+def test_nbhd_graph_is_frozen():
+    g = build_setlocal(1, 3, 2)
+    with pytest.raises(FrozenInstanceError):
+        g.adjacency = ()
+    assert g.vertex_index(g.vertices[-1]) == g.n_vertices - 1
 
 
 def test_center_and_types_accessors():

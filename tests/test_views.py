@@ -1,6 +1,8 @@
 """View engine: extraction, canonical encoding, truncation, erasure."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -127,3 +129,35 @@ def test_json_roundtrip_both_kinds():
     # multiset children carry [view, count] pairs
     data = view_to_json(extract_view(g, 0, 1, MULTISET))
     assert data["children"] == [[2, 3]]
+
+
+def test_intern_pool_gives_one_object_per_digest_across_threads():
+    n_threads, n_views = 8, 300
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            base = 10**12 + trial * 10**4  # colors no other test interns
+            barrier = threading.Barrier(n_threads)
+            results = [None] * n_threads
+
+            def build(slot):
+                barrier.wait(timeout=10)
+                results[slot] = [
+                    View.make(SET, leaf(SET, base + i), [leaf(SET, base + i + 1)])
+                    for i in range(n_views)
+                ]
+
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            first = results[0]
+            for views in results[1:]:
+                for a, b in zip(first, views, strict=True):
+                    assert a.digest == b.digest
+                    assert a is b and a.inner is b.inner
+    finally:
+        sys.setswitchinterval(old_interval)
