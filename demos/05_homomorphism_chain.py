@@ -15,7 +15,7 @@ f = relaxed_to_typed_hom(1, 3, 1)
 h = typed_to_setlocal_hom(1, 3, 2)
 for hom in (f, h):
     report = verify_homomorphism(hom)
-    print(f"  {hom.name}: verified={hom.verified} "
+    print(f"  {hom.name}: verified={report.ok} "
           f"({hom.domain.n_vertices} -> {hom.codomain.n_vertices} vertices)")
 
 print("\nchromatic numbers respect the chain:")

@@ -240,13 +240,21 @@ def linial_step_program(m: int, delta: int) -> NodeProgram:
                              f"linial-step[{m}->{params.target}]")
 
 
+def _schedule_rules(palettes, delta: int):
+    """One rule per step of a schedule that starts as
+    linial_palette_schedule(palettes[0], delta): a color-set reduction
+    round per step of that prefix, then a merge round per later palette."""
+    reductions = len(linial_palette_schedule(palettes[0], delta)) - 1
+    rules = [_linial_rule(build_family(linial_params(p, delta), p))
+             for p in palettes[:reductions]]
+    return rules + [_kw_rule(q, delta) for q in palettes[reductions + 1:]]
+
+
 def linial_full_program(m: int, delta: int) -> NodeProgram:
     """Iterate the reduction until the target palette stops shrinking."""
     palettes = linial_palette_schedule(m, delta)
-    rules = []
-    for p in palettes[:-1]:
-        rules.append(_linial_rule(build_family(linial_params(p, delta), p)))
-    return _schedule_program(rules, palettes, f"linial[{m}->{palettes[-1]}]")
+    return _schedule_program(_schedule_rules(palettes, delta), palettes,
+                             f"linial[{m}->{palettes[-1]}]")
 
 
 def kw_step_program(m: int, delta: int) -> NodeProgram:
@@ -264,13 +272,6 @@ def delta_plus_one_program(m: int, delta: int) -> NodeProgram:
     to a proper (delta+1)-coloring."""
     if m < delta + 2:
         raise ParameterError(f"need m >= delta+2, got m={m}, delta={delta}")
-    linial_palettes = linial_palette_schedule(m, delta)
-    rules = []
-    for p in linial_palettes[:-1]:
-        rules.append(_linial_rule(build_family(linial_params(p, delta), p)))
-    palettes = list(linial_palettes)
-    while palettes[-1] > delta + 1:
-        q = kw_target(palettes[-1], delta)
-        rules.append(_kw_rule(q, delta))
-        palettes.append(q)
-    return _schedule_program(rules, palettes, f"delta1[{m},{delta}]")
+    palettes = delta_plus_one_schedule(m, delta)
+    return _schedule_program(_schedule_rules(palettes, delta), palettes,
+                             f"delta1[{m},{delta}]")

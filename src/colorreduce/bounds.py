@@ -12,14 +12,24 @@ the arguments only use per-class structure, which makes the statements
 testable against heuristic colorings and adversarial families alike.
 All tie-breaking follows the canonical vertex order, so counterexamples
 are reproducible.
+
+Every source notion here is one predicate over one map.  The cover of a
+class sends each center x to the union of the neighbor collections of
+the members centered at x, and x is a source within W iff W minus x lies
+inside cover(x).  `sources`, the clique step, the d = 0 part of
+`defective_sources` and the orientations all ask exactly that; the
+orientation of a class is its color cover completed low -> high on the
+pairs the class leaves undemanded.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
+from types import MappingProxyType
 
 from .errors import ConstructionError, ParameterError
 from .nbhd import DEFAULT_CAP, NbhdGraph, build_relaxed_levels, mutual_edge
@@ -46,21 +56,29 @@ def class_defect(nodes) -> int:
     return worst
 
 
-def _by_center(nodes) -> dict[int, list[View]]:
-    """Index level-1 class members by their center color."""
-    out: dict[int, list[View]] = {}
-    for node in nodes:
-        out.setdefault(node.inner.base_color, []).append(node)
-    return out
+def _cover(class_nodes, key=None) -> dict:
+    """Center -> union of the distinct children of the members centered
+    there, both read through `key` when given (level-1 code compares
+    colors, not views)."""
+    cover: dict = {}
+    for node in class_nodes:
+        x, children = node.inner, node.distinct_children()
+        if key is not None:
+            x, children = key(x), map(key, children)
+        cover.setdefault(x, set()).update(children)
+    return cover
 
 
-def _coverage(nodes) -> dict[int, set[int]]:
-    """For each center color, the union of its members' neighbor colors."""
-    out: dict[int, set[int]] = {}
-    for node in nodes:
-        acc = out.setdefault(node.inner.base_color, set())
-        acc.update(c.base_color for c in node.distinct_children())
-    return out
+def _is_source(cover, x, within) -> bool:
+    """x is a source within W iff W minus x lies inside cover(x)."""
+    seen = cover.get(x, ())
+    for w in within:
+        if w not in seen and w != x:
+            return False
+    return True
+
+
+_color = attrgetter("base_color")
 
 
 # --- orientations (one-round machinery) ----------------------------------
@@ -71,39 +89,38 @@ class Orientation:
 
     Built from an independent class: membership (x, A) with y in A demands
     x -> y; pairs demanded by neither side default to low -> high.
+    `heads` is the class cover completed by that default: x -> y iff y is
+    in heads[x], that is, y in cover(x) or (x < y and x not in cover(y)).
     """
 
     m: int
-    forward: frozenset
+    heads: MappingProxyType = field(hash=False)
 
     def oriented(self, x: int, y: int) -> bool:
         """True iff the pair {x, y} points from x to y."""
-        return (x, y) in self.forward
+        return y in self.heads.get(x, ())
 
     def is_source_within(self, x: int, within) -> bool:
-        return all(self.oriented(x, y) for y in within if y != x)
+        return _is_source(self.heads, x, within)
 
     def covers(self, x: int, neighbor_colors) -> bool:
-        return all(self.oriented(x, y) for y in neighbor_colors)
+        return _is_source(self.heads, x, neighbor_colors)
 
 
 def orientation_of(class_nodes, m: int) -> Orientation:
-    demanded = set()
-    for node in class_nodes:
-        x = node.inner.base_color
-        for child in node.distinct_children():
-            y = child.base_color
-            if (y, x) in demanded and (x, y) not in demanded:
+    cover = _cover(class_nodes, key=_color)
+    for x, ys in cover.items():
+        for y in ys:
+            if y != x and x in cover.get(y, ()):
                 raise ParameterError(
                     f"class demands both directions on pair {{{x},{y}}}: not an independent set"
                 )
-            demanded.add((x, y))
-    forward = set(demanded)
-    for x in range(1, m + 1):
-        for y in range(x + 1, m + 1):
-            if (x, y) not in demanded and (y, x) not in demanded:
-                forward.add((x, y))
-    return Orientation(m, frozenset(forward))
+    heads = {
+        x: frozenset(cover.get(x, ())).union(
+            y for y in range(x + 1, m + 1) if x not in cover.get(y, ()))
+        for x in cover.keys() | range(1, m + 1)
+    }
+    return Orientation(m, MappingProxyType(heads))
 
 
 def _infer_kind(classes, fallback=MULTISET):
@@ -180,22 +197,15 @@ def sources(class_nodes, level_graph: NbhdGraph, within=None) -> list[View]:
     """Vertices x of the level graph whose restricted neighborhood is
     fully witnessed: every neighbor w (within `within`, if given) appears
     in some class member centered at x."""
-    cover: dict[View, set[View]] = {}
-    for node in class_nodes:
-        cover.setdefault(node.inner, set()).update(node.distinct_children())
+    cover = _cover(class_nodes)
+    vertices = level_graph.vertices
     restrict = None if within is None else set(within)
     out = []
-    for i, x in enumerate(level_graph.vertices):
-        seen = cover.get(x, ())
-        ok = True
-        for j in level_graph.adjacency[i]:
-            w = level_graph.vertices[j]
-            if restrict is not None and w not in restrict:
-                continue
-            if w not in seen:
-                ok = False
-                break
-        if ok:
+    for x, nbrs in zip(vertices, level_graph.adjacency):
+        group = map(vertices.__getitem__, nbrs)
+        if restrict is not None:
+            group = filter(restrict.__contains__, group)
+        if _is_source(cover, x, group):
             out.append(x)
     return out
 
@@ -247,17 +257,7 @@ def uncovered_clique_step(T, next_class_sets, level_graph: NbhdGraph,
             if any(t in s for t in T):
                 raise ParameterError(f"input clique intersects class {k}: not uncolored")
 
-    cover_by_class = []
-    for cls in next_class_sets:
-        cover: dict[View, set[View]] = {}
-        for node in cls:
-            cover.setdefault(node.inner, set()).update(node.distinct_children())
-        cover_by_class.append(cover)
-
-    def is_source_within(x, group, k):
-        seen = cover_by_class[k].get(x, ())
-        return all(w in seen for w in group if w is not x)
-
+    cover_by_class = [_cover(cls) for cls in next_class_sets]
     remaining = list(T)
     centers = []
     witnesses_for = []
@@ -265,7 +265,7 @@ def uncovered_clique_step(T, next_class_sets, level_graph: NbhdGraph,
         group = remaining[:d]
         per_class_sources = []
         for k in range(c):
-            found = [x for x in group if is_source_within(x, group, k)]
+            found = [x for x in group if _is_source(cover_by_class[k], x, group)]
             if len(found) > 1:
                 raise ConstructionError(
                     f"class {k} has {len(found)} sources in a clique; uniqueness failed"
@@ -390,39 +390,29 @@ def defective_sources(class_nodes, m: int, d: int, within=None) -> list[int]:
     if within is None:
         within = range(1, m + 1)
     within = sorted(set(within))
-    members = _by_center(class_nodes)
-    cover = _coverage(class_nodes)
+    cover = _cover(class_nodes, key=_color)
     out = []
     for x in within:
+        if not _is_source(cover, x, within):
+            continue
         neighborhood = [y for y in within if y != x]
-        if not neighborhood:
-            out.append(x)
-            continue
-        if x not in members:
-            continue
-        if not set(neighborhood) <= cover[x]:
-            continue
-        child_sets = [set(c.base_color for c in node.distinct_children())
-                      for node in members[x]]
-        ok = True
-        for size in range(2, d + 2):
-            for B in combinations(neighborhood, size):
-                b = set(B)
-                if not any(b <= s for s in child_sets):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        child_sets = _member_color_sets(class_nodes, x)
+        if all(any(set(B) <= s for s in child_sets)
+               for size in range(2, d + 2) for B in combinations(neighborhood, size)):
             out.append(x)
     return out
 
 
-def _blocking_set(members_of_x, x: int, m: int, d: int):
+def _member_color_sets(class_nodes, x: int) -> list[set[int]]:
+    """The neighbor-color sets of the class members centered at color x."""
+    return [{c.base_color for c in node.distinct_children()}
+            for node in class_nodes if node.inner.base_color == x]
+
+
+def _blocking_set(class_nodes, x: int, m: int, d: int):
     """Smallest-by-canonical-order nonempty B (|B| <= d+1) over [m]\\{x}
-    such that no member centered at x contains B."""
-    child_sets = [set(c.base_color for c in node.distinct_children())
-                  for node in members_of_x]
+    such that no class member centered at x contains B."""
+    child_sets = _member_color_sets(class_nodes, x)
     universe = [y for y in range(1, m + 1) if y != x]
     for size in range(1, d + 2):
         for B in combinations(universe, size):
@@ -487,10 +477,9 @@ def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> 
     if q * t_size > c * (d + 1):
         raise ConstructionError("pigeonhole bound on restricted sources failed")
 
-    members = [_by_center(cl) for cl in classes]
     a_set = set(T) - {x}
     for k in owning:
-        block = _blocking_set(members[k].get(x, []), x, m, d)
+        block = _blocking_set(classes[k], x, m, d)
         if block is None:
             raise ConstructionError(
                 f"class {k}: no blocking set although {x} is not a global source"

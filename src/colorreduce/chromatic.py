@@ -19,11 +19,8 @@ from .views import View, canonical_encode
 
 def as_adjacency(g) -> list[set[int]]:
     """Adapt NbhdGraph, ColoredGraph, or a plain neighbor-list structure."""
-    if isinstance(g, NbhdGraph):
-        return [set(nbrs) for nbrs in g.adjacency]
-    if isinstance(g, ColoredGraph):
-        return [set(nbrs) for nbrs in g.adjacency]
-    return [set(nbrs) for nbrs in g]
+    rows = g.adjacency if isinstance(g, (NbhdGraph, ColoredGraph)) else g
+    return [set(nbrs) for nbrs in rows]
 
 
 @dataclass(frozen=True)
@@ -72,32 +69,6 @@ def embedded_clique(graph: NbhdGraph) -> list[int] | None:
             return None
         members.append(graph.vertex_index(v))
     return sorted(members)
-
-
-def dsatur(adj: list[set[int]]) -> tuple[list[int], int]:
-    """Deterministic saturation-greedy coloring; returns (colors, count).
-
-    Branching order: highest saturation, ties by degree then index.
-    """
-    n = len(adj)
-    colors = [0] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degree = [len(s) for s in adj]
-    for _ in range(n):
-        best, best_key = -1, None
-        for v in range(n):
-            if colors[v]:
-                continue
-            key = (len(neighbor_colors[v]), degree[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        c = 1
-        while c in neighbor_colors[best]:
-            c += 1
-        colors[best] = c
-        for u in adj[best]:
-            neighbor_colors[u].add(c)
-    return colors, max(colors, default=0)
 
 
 def _bipartition(adj: list[set[int]]) -> list[int] | None:
@@ -166,7 +137,7 @@ def _search_k_coloring(adj, k: int, budget: _Budget):
     max_used = 0
     stack = []  # (vertex, color tried, max_used before)
     while True:
-        if all(colors):
+        if len(stack) == n:
             return "yes", list(colors)
         v = pick()
         # symmetry break: allow at most one brand-new color
@@ -195,18 +166,25 @@ def _search_k_coloring(adj, k: int, budget: _Budget):
             return "no", None
 
 
-def is_k_colorable(g, k: int, budget: int = 1_000_000):
-    """Three-valued: ("yes", witness) with a validating coloring, ("no",
-    None) after exhaustive search, or ("unknown", None) on budget
-    exhaustion."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    adj = as_adjacency(g)
+def dsatur(adj: list[set[int]]) -> tuple[list[int], int]:
+    """Deterministic saturation-greedy coloring; returns (colors, count).
+
+    Branching order: highest saturation, ties by degree then index.  This
+    is the first descent of the exact search: with k = n colors the
+    smallest free color (at most max_used + 1) always fits, so the search
+    never backtracks and spends exactly n expansions.
+    """
     n = len(adj)
-    if n == 0:
-        return "yes", []
+    _, colors = _search_k_coloring(adj, n, _Budget(n))
+    return colors, max(colors, default=0)
+
+
+def _decide_k(adj, k: int, budget: _Budget):
+    """k-colorability with the closed forms for k = 1, k = 2 and k >= n,
+    else the search; a "yes" witness is checked before it is returned."""
+    n = len(adj)
     if k == 1:
-        if any(adj[v] for v in range(n)):
+        if any(adj):
             return "no", None
         return "yes", [1] * n
     if k == 2:
@@ -214,10 +192,19 @@ def is_k_colorable(g, k: int, budget: int = 1_000_000):
         return ("yes", two) if two is not None else ("no", None)
     if k >= n:
         return "yes", list(range(1, n + 1))
-    status, witness = _search_k_coloring(adj, k, _Budget(budget))
+    status, witness = _search_k_coloring(adj, k, budget)
     if status == "yes":
         _check_witness(adj, witness, k)
     return status, witness
+
+
+def is_k_colorable(g, k: int, budget: int = 1_000_000):
+    """Three-valued: ("yes", witness) with a validating coloring, ("no",
+    None) after exhaustive search, or ("unknown", None) on budget
+    exhaustion."""
+    if k < 1:
+        raise ParameterError("k must be >= 1")
+    return _decide_k(as_adjacency(g), k, _Budget(budget))
 
 
 def _check_witness(adj, colors, k):
@@ -233,36 +220,25 @@ def chi_exact(g, budget: int = 1_000_000) -> ChiResult:
     """Exact chromatic number when the expansion budget suffices,
     otherwise the best (clique, saturation-greedy) bracket reached."""
     adj = as_adjacency(g)
+    if not adj:
+        return ChiResult(0, 0, True, tuple(), 0)
     lower = len(greedy_clique(adj))
     if isinstance(g, NbhdGraph):
         planted = embedded_clique(g)
         if planted is not None:
             lower = max(lower, len(planted))
     witness, upper = dsatur(adj)
-    if len(adj) == 0:
-        return ChiResult(0, 0, True, tuple(), 0)
-    lower = max(lower, 1)
-    tracker = _Budget(budget)
-    k = lower
     best_witness = tuple(witness)
-    while k < upper:
-        remaining = budget - tracker.used
-        if remaining <= 0:
-            return ChiResult(k, upper, False, best_witness, tracker.used)
-        sub = _Budget(remaining)
-        if k == 1 or k == 2:
-            status, wit = is_k_colorable(adj, k, remaining)
-        else:
-            status, wit = _search_k_coloring(adj, k, sub)
-            tracker.used += sub.used
+    tracker = _Budget(budget)
+    k = max(lower, 1)
+    # an "unknown" leaves the tracker overspent, which ends the loop
+    while k < upper and tracker.used < budget:
+        status, wit = _decide_k(adj, k, tracker)
         if status == "yes":
-            _check_witness(adj, wit, k)
             return ChiResult(k, k, True, tuple(wit), tracker.used)
         if status == "no":
             k += 1
-            continue
-        return ChiResult(k, upper, False, best_witness, tracker.used)
-    return ChiResult(upper, upper, True, best_witness, tracker.used)
+    return ChiResult(k, upper, k == upper, best_witness, tracker.used)
 
 
 def export_dimacs(g, path) -> None:

@@ -17,7 +17,7 @@ from hashlib import sha256
 from pathlib import Path
 
 from . import algorithms, bounds, chromatic, nbhd
-from .errors import ColorReduceError
+from .errors import ColorReduceError, ParameterError
 from .graphs import (assignment_to_json, graph_to_json, load_graph,
                      random_colored_tree, validate_proper)
 from .simulate import full_information_program, run
@@ -165,9 +165,11 @@ def cmd_refute(args, parser):
     family = FAMILY_ALIASES[args.family]
     kind = MULTISET if args.variant == "multiset" else SET
     with open(args.classes) as fh:
-        raw = json.load(fh)
-    classes = [[view_from_json(v, kind if family == nbhd.LOCAL1 else SET) for v in cl]
-               for cl in raw]
+        try:
+            classes = [[view_from_json(v, kind if family == nbhd.LOCAL1 else SET) for v in cl]
+                       for cl in json.load(fh)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed classes file {args.classes}: {exc!r}") from exc
     transcript = {"classes": [len(cl) for cl in classes]}
     if family == nbhd.LOCAL1:
         if args.defect > 0:
@@ -195,7 +197,7 @@ def cmd_verify_hom(args, parser):
         hom = nbhd.relaxed_to_typed_hom(args.r, args.m, args.d, cap=args.cap)
     report = nbhd.verify_homomorphism(hom)
     result = {
-        "which": args.which, "name": hom.name, "verified": hom.verified,
+        "which": args.which, "name": hom.name, "verified": report.ok,
         "missing_images": len(report.missing_images),
         "broken_edges": len(report.broken_edges),
         "domain_vertices": hom.domain.n_vertices,
@@ -204,7 +206,7 @@ def cmd_verify_hom(args, parser):
     out = _config_dir(args.out, "verify-hom", _arg_dict(args))
     _write_json(out / "report.json", result)
     print(json.dumps({**result, "out": str(out)}, sort_keys=True))
-    return 0 if hom.verified else 1
+    return 0 if report.ok else 1
 
 
 def cmd_bound(args, parser):

@@ -64,6 +64,8 @@ class ColoredGraph:
         """Build a graph from an edge list, sorting neighbor lists."""
         nbrs = [set() for _ in range(n)]
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge {u}-{v} has an endpoint outside [0, {n})")
             nbrs[u].add(v)
             nbrs[v].add(u)
         adjacency = tuple(tuple(sorted(s)) for s in nbrs)

@@ -30,8 +30,10 @@ vertex count first and refuse to exceed an explicit cap.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
+from types import MappingProxyType
 
 from .errors import CapExceededError, ConstructionError, ParameterError
 from .views import MULTISET, SET, View, canonical_encode
@@ -214,13 +216,14 @@ def build_local1(m: int, delta: int, variant=MULTISET, cap: int = DEFAULT_CAP) -
     return _finish(LOCAL1, m, delta, 1, variant, vertices)
 
 
-def _expand_level(prev: NbhdGraph, bound: int, typed: bool, cap: int) -> NbhdGraph:
+def _expand_level(prev: NbhdGraph, bound: int, cap: int) -> NbhdGraph:
     projected = sum(
         _subset_count(len(prev.adjacency[i]), bound) for i in range(prev.n_vertices)
     )
     if projected > cap:
         raise CapExceededError(projected, cap,
                                what=f"level-{prev.level + 1} vertices (upper bound)")
+    typed = prev.family == TYPED
     vertices = []
     for i, x in enumerate(prev.vertices):
         nbr_views = [prev.vertices[j] for j in prev.adjacency[i]]
@@ -230,18 +233,21 @@ def _expand_level(prev: NbhdGraph, bound: int, typed: bool, cap: int) -> NbhdGra
                 if typed and centers_of(combo) != required:
                     continue
                 vertices.append(View.make(SET, x, combo))
-    family = TYPED if typed else RELAXED
-    return _finish(family, prev.m, bound, prev.level + 1, SET, vertices)
+    return _finish(prev.family, prev.m, bound, prev.level + 1, SET, vertices)
+
+
+def _build_levels(family: str, r: int, m: int, d: int, cap: int) -> list[NbhdGraph]:
+    if r < 0 or m < 2 or d < 1:
+        raise ParameterError("need r >= 0, m >= 2, d >= 1")
+    levels = [_finish(family, m, d, 0, SET, _clique_vertices(m, SET))]
+    for _ in range(r):
+        levels.append(_expand_level(levels[-1], d, cap))
+    return levels
 
 
 def build_relaxed_levels(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> list[NbhdGraph]:
     """Levels 0..r of the unconstrained recursive family."""
-    if r < 0 or m < 2 or d < 1:
-        raise ParameterError("need r >= 0, m >= 2, d >= 1")
-    levels = [_finish(RELAXED, m, d, 0, SET, _clique_vertices(m, SET))]
-    for _ in range(r):
-        levels.append(_expand_level(levels[-1], d, typed=False, cap=cap))
-    return levels
+    return _build_levels(RELAXED, r, m, d, cap)
 
 
 def build_relaxed(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
@@ -255,12 +261,7 @@ def build_typed_levels(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> list[N
     (the level-0 type set is {BOTTOM}, never empty), unlike setlocal
     where isolated realizations keep empty collections legal.
     """
-    if r < 0 or m < 2 or d < 1:
-        raise ParameterError("need r >= 0, m >= 2, d >= 1")
-    levels = [_finish(TYPED, m, d, 0, SET, _clique_vertices(m, SET))]
-    for _ in range(r):
-        levels.append(_expand_level(levels[-1], d, typed=True, cap=cap))
-    return levels
+    return _build_levels(TYPED, r, m, d, cap)
 
 
 def build_typed(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
@@ -375,20 +376,19 @@ def build_setlocal(r: int, m: int, delta: int, cap: int = DEFAULT_CAP) -> NbhdGr
 
 # --- homomorphisms -------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class HomMap:
-    """A vertex mapping between two neighborhood graphs.
-
-    `verified` is set only after every image was found in the codomain
-    vertex set and every domain edge was checked to map to a codomain
-    edge.
-    """
+    """A vertex mapping between two neighborhood graphs, immutable once
+    built; whether it is a homomorphism is what verify_homomorphism
+    reports."""
 
     domain: NbhdGraph
     codomain: NbhdGraph
-    mapping: dict
+    mapping: Mapping
     name: str = "hom"
-    verified: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
 
 
 @dataclass
@@ -403,7 +403,7 @@ class HomReport:
 
 def verify_homomorphism(hom: HomMap) -> HomReport:
     """List images outside the codomain and domain edges whose images are
-    not codomain edges; an empty report flips the verified flag."""
+    not codomain edges; the map is a homomorphism iff the report is ok."""
     missing = []
     broken = []
     for v in hom.domain.vertices:
@@ -423,35 +423,19 @@ def verify_homomorphism(hom: HomMap) -> HomReport:
         ku, kv = hom.codomain.vertex_index(iu), hom.codomain.vertex_index(iv)
         if kv not in codomain_adj.get(ku, ()):
             broken.append((u, v))
-    report = HomReport(missing, broken)
-    hom.verified = report.ok
-    return report
+    return HomReport(missing, broken)
 
 
 def typed_to_setlocal_hom(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> HomMap:
-    """Map the typed family into the realizable-view graph by recursively
-    mapping centers and neighbor sets; verified before returning.
+    """Map the typed family into the realizable-view graph; verified
+    before returning.
 
-    Level 0 is the identity on colors, and the recursion preserves the
-    nested structure exactly, so each vertex maps to its own view shape.
+    Both families hold interned SET views, and every typed vertex is
+    itself a realizable view, so the map is the inclusion v -> v.
     """
     domain = build_typed(r, m, d, cap)
     codomain = build_setlocal(r, m, d, cap)
-
-    memo: dict[View, View] = {}
-
-    def h(v: View) -> View:
-        got = memo.get(v)
-        if got is not None:
-            return got
-        if v.depth == 0:
-            out = View.leaf(SET, v.base_color)
-        else:
-            out = View.make(SET, h(v.inner), (h(a) for a in v.distinct_children()))
-        memo[v] = out
-        return out
-
-    hom = HomMap(domain, codomain, {v: h(v) for v in domain.vertices},
+    hom = HomMap(domain, codomain, {v: v for v in domain.vertices},
                  name=f"typed->setlocal[{r},{m},{d}]")
     report = verify_homomorphism(hom)
     if not report.ok:

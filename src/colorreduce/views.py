@@ -78,6 +78,8 @@ class View:
         for entry in children:
             if isinstance(entry, tuple):
                 child, cnt = entry
+                if not isinstance(cnt, int) or cnt < 1:
+                    raise ValueError("multiplicities are positive integers")
             else:
                 child, cnt = entry, 1
             if child.depth != inner.depth:
@@ -189,17 +191,17 @@ class _Parser:
             if self.peek() == b",":
                 self.pos += 1
         self.take(b")")
-        view = View.make(kind, inner, children)
-        if view.depth != depth:
-            raise ValueError("encoded depth does not match structure")
-        return view
+        return View.make(kind, inner, children)
 
 
 def canonical_decode(data: bytes) -> View:
-    parser = _Parser(data)
-    view = parser.parse_view()
-    if parser.pos != len(data):
-        raise ValueError("trailing bytes after view encoding")
+    """Inverse of canonical_encode.  Any other bytes raise ValueError:
+    the parser is lenient, so the result is re-encoded and must give the
+    input back (wrong depths, leading zeros, unsorted or repeated
+    children, stray commas and trailing bytes all fail that check)."""
+    view = _Parser(data).parse_view()
+    if canonical_encode(view) != data:
+        raise ValueError("not a canonical view encoding")
     return view
 
 

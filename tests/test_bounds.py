@@ -34,6 +34,29 @@ def test_orientation_empty_class_all_defaults():
     assert o.oriented(1, 2) and o.oriented(1, 3) and o.oriented(2, 3)
 
 
+def seed_oriented(class_nodes, m):
+    """The explicit forward-pair orientation that Orientation replaced."""
+    demanded = {(node.inner.base_color, c.base_color)
+                for node in class_nodes for c in node.distinct_children()}
+    forward = set(demanded)
+    for x in range(1, m + 1):
+        for y in range(x + 1, m + 1):
+            if (x, y) not in demanded and (y, x) not in demanded:
+                forward.add((x, y))
+    return lambda x, y: (x, y) in forward
+
+
+@pytest.mark.parametrize("m,delta", [(5, 3), (6, 4), (7, 4)])
+def test_orientation_matches_forward_pairs(m, delta, host_7_4):
+    host = host_7_4 if (m, delta) == (7, 4) else build_local1(m, delta, MULTISET)
+    for cls in random_independent_sets(host, 12, seed=m):
+        o = orientation_of(cls, m)
+        oracle = seed_oriented(cls, m)
+        for x in range(1, m + 1):
+            for y in range(1, m + 1):
+                assert o.oriented(x, y) == oracle(x, y), (x, y)
+
+
 def test_orientation_rejects_dependent_class():
     with pytest.raises(ParameterError):
         orientation_of([node(MULTISET, 1, [2]), node(MULTISET, 2, [1])], 3)

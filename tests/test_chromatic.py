@@ -54,6 +54,46 @@ def random_graph(n, p, seed):
     return adj
 
 
+def seed_dsatur(adj):
+    """The stand-alone saturation-greedy loop that dsatur() replaced."""
+    n = len(adj)
+    colors = [0] * n
+    neighbor_colors = [set() for _ in range(n)]
+    degree = [len(s) for s in adj]
+    for _ in range(n):
+        best, best_key = -1, None
+        for v in range(n):
+            if colors[v]:
+                continue
+            key = (len(neighbor_colors[v]), degree[v], -v)
+            if best_key is None or key > best_key:
+                best, best_key = v, key
+        c = 1
+        while c in neighbor_colors[best]:
+            c += 1
+        colors[best] = c
+        for u in adj[best]:
+            neighbor_colors[u].add(c)
+    return colors, max(colors, default=0)
+
+
+def test_dsatur_matches_standalone_loop():
+    graphs = [random_graph(seed % 41, (1 + seed % 9) / 10, seed) for seed in range(120)]
+    graphs += [as_adjacency(build_local1(5, 3, MULTISET)), as_adjacency(build_local1(6, 4, MULTISET)),
+               as_adjacency(build_relaxed(1, 5, 3))]
+    assert any(not adj for adj in graphs)
+    for adj in graphs:
+        assert dsatur(adj) == seed_dsatur(adj)
+
+
+@pytest.mark.parametrize("budget,expected", [
+    (0, (5, 6, False, 0)), (1, (5, 6, False, 2)), (10, (5, 6, False, 11)),
+])
+def test_chi_bracket_pinned_on_small_budgets(budget, expected):
+    res = chi_exact(build_local1(6, 4, MULTISET), budget=budget)
+    assert (res.lower, res.upper, res.exact, res.expansions_used) == expected
+
+
 def test_solver_matches_brute_force_on_random_graphs():
     # trust anchor for "no" answers: exhaustive search vs plain backtracking
     for seed in range(120):

@@ -126,6 +126,29 @@ def test_refute_domain_failure_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def _assert_one_error_line(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_color_graph_with_out_of_range_endpoint_exits_1(tmp_path, capsys):
+    gpath = tmp_path / "instance.json"
+    gpath.write_text(json.dumps({"n": 2, "edges": [[0, 5]], "psi": [1, 2], "m": 3, "delta": 1}))
+    code = main(["color", "--algo", "delta1", "--m", "3", "--delta", "1",
+                 "--graph", str(gpath), "--out", str(tmp_path / "run")])
+    _assert_one_error_line(code, capsys)
+
+
+def test_refute_malformed_classes_file_exits_1(tmp_path, capsys):
+    classes_file = tmp_path / "classes.json"
+    classes_file.write_text(json.dumps([[{"inner": 1}]]))
+    code = main(["refute", "--family", "nh1", "--m", "5", "--d", "3",
+                 "--classes", str(classes_file), "--out", str(tmp_path)])
+    _assert_one_error_line(code, capsys)
+
+
 def test_verify_hom_subcommands(tmp_path, capsys):
     code, out = run_cli(["verify-hom", "--which", "h", "--r", "1", "--m", "3",
                          "--d", "2", "--out", str(tmp_path / "h")], capsys)

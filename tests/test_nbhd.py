@@ -257,13 +257,13 @@ def test_center_and_types_accessors():
 
 def test_hom_h_level_zero_identity():
     hom = typed_to_setlocal_hom(0, 3, 2)
-    assert hom.verified
+    assert verify_homomorphism(hom).ok
     assert all(hom.mapping[v] is v for v in hom.domain.vertices)
 
 
 def test_hom_h_level1_bijection_onto_nonempty():
     hom = typed_to_setlocal_hom(1, 3, 2)
-    assert hom.verified
+    assert verify_homomorphism(hom).ok
     image = set(hom.mapping.values())
     assert len(image) == 9
     nonempty = {v for v in hom.codomain.vertices if v.child_size >= 1}
@@ -274,12 +274,13 @@ def test_hom_h_level1_bijection_onto_nonempty():
 def test_hom_h_verified(r, m, d):
     hom = typed_to_setlocal_hom(r, m, d)
     report = verify_homomorphism(hom)
-    assert report.ok and hom.verified
+    assert report.ok
+    assert all(hom.mapping[v] is v for v in hom.domain.vertices)  # the inclusion
 
 
 def test_hom_f_level_zero_identity():
     hom = relaxed_to_typed_hom(0, 3, 1)
-    assert hom.verified
+    assert verify_homomorphism(hom).ok
     assert all(hom.mapping[v] is v for v in hom.domain.vertices)
 
 
@@ -301,7 +302,7 @@ def test_hom_f_fills_empty_sets():
 def test_hom_f_verified(r, m, d):
     hom = relaxed_to_typed_hom(r, m, d)
     report = verify_homomorphism(hom)
-    assert report.ok and hom.verified
+    assert report.ok
 
 
 def test_verify_reports_membership_violations():
@@ -310,7 +311,7 @@ def test_verify_reports_membership_violations():
     hom = HomMap(nt, ntilde, {v: v for v in nt.vertices}, name="identity")
     report = verify_homomorphism(hom)
     assert len(report.missing_images) == 3  # the empty-set vertices
-    assert not hom.verified
+    assert not report.ok
 
 
 def test_verify_reports_edge_violations():
@@ -320,7 +321,15 @@ def test_verify_reports_edge_violations():
     hom = HomMap(g, target, {v: const for v in g.vertices}, name="constant")
     report = verify_homomorphism(hom)
     assert report.broken_edges  # a loop is not an edge
-    assert not hom.verified
+    assert not report.ok
+
+
+def test_hom_map_is_immutable():
+    hom = typed_to_setlocal_hom(1, 3, 2)
+    with pytest.raises(FrozenInstanceError):
+        hom.mapping = {}
+    with pytest.raises(TypeError):
+        hom.mapping[hom.domain.vertices[0]] = hom.domain.vertices[1]
 
 
 def test_chi_monotone_along_homomorphisms():

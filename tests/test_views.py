@@ -5,6 +5,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorreduce import (MULTISET, SET, ColoredGraph, View, canonical_decode,
                          canonical_encode, erase_multiplicities, extract_view,
@@ -70,6 +72,58 @@ def test_encode_decode_roundtrip_random():
         kind = rng.choice([SET, MULTISET])
         v = extract_view(g, rng.randrange(g.n), rng.randrange(0, 4), kind)
         assert canonical_decode(canonical_encode(v)) is v
+
+
+@pytest.mark.parametrize("data", [
+    b"M1(M0(1);M0(2)*0)",  # zero multiplicity
+    b"S0(01)",  # leading zero
+    b"S1(S0(1);S0(3),S0(2))",  # unsorted children
+    b"S1(S0(1);S0(2),)",  # trailing comma
+])
+def test_decode_rejects_non_canonical_encodings(data):
+    with pytest.raises(ValueError):
+        canonical_decode(data)
+
+
+def test_make_rejects_multiplicities_below_one():
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            View.make(MULTISET, leaf(MULTISET, 1), [(leaf(MULTISET, 2), count)])
+
+
+def _encodings():
+    rng = random.Random(1)
+    out = []
+    for i in range(60):
+        g = random_colored_tree(rng.randrange(1, 8), 3, 12, seed=i)
+        kind = SET if i % 2 else MULTISET
+        out.append(canonical_encode(extract_view(g, rng.randrange(g.n), rng.randrange(0, 3), kind)))
+    return out
+
+
+ENCODINGS = _encodings()
+MUTATION_BYTES = [bytes([b]) for b in b"SM0123456789();,*"]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.sampled_from(ENCODINGS), st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+              st.floats(0, 1, exclude_max=True), st.sampled_from(MUTATION_BYTES)),
+    min_size=1, max_size=3))
+def test_mutated_encodings_decode_canonically_or_raise(data, mutations):
+    for op, where, byte in mutations:
+        at = int(where * (len(data) + (op == "insert")))
+        if op == "insert":
+            data = data[:at] + byte + data[at:]
+        elif op == "delete":
+            data = data[:at] + data[at + 1:]
+        else:
+            data = data[:at] + byte + data[at + 1:]
+    try:
+        view = canonical_decode(data)
+    except ValueError:
+        return
+    assert canonical_encode(view) == data
 
 
 def test_truncate_examples():
