@@ -36,24 +36,44 @@ from .nbhd import DEFAULT_CAP, NbhdGraph, build_relaxed_levels, mutual_edge
 from .views import MULTISET, SET, View, canonical_encode
 
 
-def is_independent(nodes) -> bool:
-    """Pairwise check under the mutual-membership edge rule."""
-    nodes = list(nodes)
+def _adjacent_positions(nodes):
+    """Ordered pairs (i, j), i != j, of list positions whose members are
+    joined by the edge rule, found through an index of positions by
+    center: a depth >= 1 member can only meet members centered on one of
+    its children (which share its depth), and depth-0 members meet every
+    distinct leaf.  Duplicate entries pair up like any other positions."""
+    leaves, by_center = [], {}
     for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            if mutual_edge(u, v):
-                return False
-    return True
+        if u.depth == 0:
+            leaves.append(i)
+        else:
+            by_center.setdefault(u.inner, []).append(i)
+    for i in leaves:
+        for j in leaves:
+            if nodes[i] is not nodes[j]:
+                yield i, j
+    for i, u in enumerate(nodes):
+        if u.depth == 0:
+            continue
+        for child in u.child_lookup:
+            for j in by_center.get(child, ()):
+                if j != i and u.inner in nodes[j].child_lookup:
+                    yield i, j
+
+
+def is_independent(nodes) -> bool:
+    """No two class members are joined by the mutual-membership edge rule."""
+    return next(_adjacent_positions(list(nodes)), None) is None
 
 
 def class_defect(nodes) -> int:
     """Maximum induced degree of the class under the edge rule."""
     nodes = list(nodes)
-    worst = 0
-    for u in nodes:
-        deg = sum(1 for v in nodes if v is not u and mutual_edge(u, v))
-        worst = max(worst, deg)
-    return worst
+    degree = [0] * len(nodes)
+    for i, j in _adjacent_positions(nodes):
+        if nodes[i] is not nodes[j]:
+            degree[i] += 1
+    return max(degree, default=0)
 
 
 def _cover(class_nodes, key=None) -> dict:
@@ -576,6 +596,7 @@ def random_defective_classes(m: int, delta: int, d: int, count: int, seed: int,
     out = []
     for _ in range(count):
         members: list[View] = []
+        by_center: dict[View, list[View]] = {}
         degrees: dict[View, int] = {}
         for _ in range(tries):
             x = rng.randrange(1, m + 1)
@@ -585,10 +606,12 @@ def random_defective_classes(m: int, delta: int, d: int, count: int, seed: int,
             node = View.make(kind, leaves[x], (leaves[y] for y in a))
             if node in degrees:
                 continue
-            touching = [u for u in members if mutual_edge(node, u)]
+            touching = [u for y in node.child_lookup for u in by_center.get(y, ())
+                        if node.inner in u.child_lookup]
             if len(touching) > d or any(degrees[u] + 1 > d for u in touching):
                 continue
             members.append(node)
+            by_center.setdefault(node.inner, []).append(node)
             degrees[node] = len(touching)
             for u in touching:
                 degrees[u] += 1

@@ -1,9 +1,16 @@
 """Exact and heuristic chromatic numbers for desk-scale graphs.
 
-The internal solver targets graphs up to roughly two thousand vertices;
+The internal solver targets graphs of a few thousand vertices;
 anything larger should go through the DIMACS export and an external
 solver.  Budgets are counted in node expansions (color assignments
 tried) rather than wall time, so identical calls give identical results.
+
+The search keeps, per vertex, a count of colored neighbors per color,
+and buckets the uncolored vertices by saturation (DSATUR, Brelaz 1979).
+An expansion or its undo therefore costs O(deg) plus one scan of the top
+bucket, with no rescan of neighborhoods.  The branching order, and with
+it every expansion count, witness and budget outcome, is that of the
+plain saturation-greedy scan.
 """
 
 from __future__ import annotations
@@ -101,36 +108,63 @@ class _Budget:
 
 
 def _search_k_coloring(adj, k: int, budget: _Budget):
-    """Iterative DSATUR-ordered backtracking; returns (status, colors)."""
+    """Iterative DSATUR-ordered backtracking; returns (status, colors).
+
+    counts[v] maps each color to the number of v's neighbors holding it,
+    so v's saturation is len(counts[v]) and an assignment or its undo
+    costs O(deg).  Uncolored vertices sit in buckets[saturation] by their
+    static rank (degree descending, then index), and the branching vertex
+    is the lowest rank in the top non-empty bucket: the largest
+    (saturation, degree, -index).
+    """
     n = len(adj)
     colors = [0] * n
-    neighbor_colors = [set() for _ in range(n)]
-    degree = [len(s) for s in adj]
+    counts = [{} for _ in range(n)]
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    buckets = [set(range(n))]
 
     def pick():
-        best, best_key = -1, None
-        for v in range(n):
-            if colors[v]:
-                continue
-            key = (len(neighbor_colors[v]), degree[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        return best
+        for bucket in reversed(buckets):
+            if bucket:
+                return order[min(bucket)]
 
     def assign(v, c):
         colors[v] = c
+        buckets[len(counts[v])].remove(rank[v])
         for u in adj[v]:
-            neighbor_colors[u].add(c)
+            seen = counts[u]
+            if c in seen:
+                seen[c] += 1
+                continue
+            seen[c] = 1
+            if not colors[u]:
+                sat = len(seen)
+                if sat == len(buckets):
+                    buckets.append(set())
+                buckets[sat - 1].remove(rank[u])
+                buckets[sat].add(rank[u])
 
     def unassign(v, c):
         colors[v] = 0
         for u in adj[v]:
-            if not any(colors[w] == c for w in adj[u]):
-                neighbor_colors[u].discard(c)
+            seen = counts[u]
+            if seen[c] > 1:
+                seen[c] -= 1
+                continue
+            del seen[c]
+            if not colors[u]:
+                sat = len(seen)
+                buckets[sat + 1].remove(rank[u])
+                buckets[sat].add(rank[u])
+        buckets[len(counts[v])].add(rank[v])
 
     def first_free(v, after, upper):
+        seen = counts[v]
         for cand in range(after + 1, upper + 1):
-            if cand not in neighbor_colors[v]:
+            if cand not in seen:
                 return cand
         return None
 

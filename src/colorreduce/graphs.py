@@ -198,9 +198,20 @@ def graph_to_json(g: ColoredGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> ColoredGraph:
-    return ColoredGraph.from_edges(
-        data["n"], [tuple(e) for e in data["edges"]], data["psi"], data["m"], data["delta"]
-    )
+    """Inverse of graph_to_json.  A missing key or a value of the wrong
+    type raises ParameterError, an edge that is not a pair of integers
+    GraphError."""
+    try:
+        n, edges, psi, m, delta = (data[key] for key in ("n", "edges", "psi", "m", "delta"))
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"graph JSON needs the keys n, edges, psi, m, delta: {exc!r}") from exc
+    if not (isinstance(edges, list) and isinstance(psi, list)
+            and all(type(x) is int for x in (n, m, delta, *psi))):
+        raise ParameterError("graph JSON needs integers n, m, delta and lists edges, psi of integers")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise GraphError(f"edge {e!r} is not a pair of integer endpoints")
+    return ColoredGraph.from_edges(n, edges, psi, m, delta)
 
 
 def assignment_to_json(phi: ColorAssignment) -> dict:
@@ -209,4 +220,8 @@ def assignment_to_json(phi: ColorAssignment) -> dict:
 
 def load_graph(path) -> ColoredGraph:
     with open(path) as fh:
-        return graph_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{path} is not JSON: {exc}") from exc
+    return graph_from_json(data)

@@ -391,10 +391,10 @@ class HomMap:
         object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomReport:
-    missing_images: list
-    broken_edges: list
+    missing_images: tuple
+    broken_edges: tuple
 
     @property
     def ok(self) -> bool:
@@ -423,7 +423,7 @@ def verify_homomorphism(hom: HomMap) -> HomReport:
         ku, kv = hom.codomain.vertex_index(iu), hom.codomain.vertex_index(iv)
         if kv not in codomain_adj.get(ku, ()):
             broken.append((u, v))
-    return HomReport(missing, broken)
+    return HomReport(tuple(missing), tuple(broken))
 
 
 def typed_to_setlocal_hom(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> HomMap:

@@ -198,8 +198,12 @@ def canonical_decode(data: bytes) -> View:
     """Inverse of canonical_encode.  Any other bytes raise ValueError:
     the parser is lenient, so the result is re-encoded and must give the
     input back (wrong depths, leading zeros, unsorted or repeated
-    children, stray commas and trailing bytes all fail that check)."""
-    view = _Parser(data).parse_view()
+    children, stray commas and trailing bytes all fail that check), and
+    input nested deeper than the recursive parser can follow fails too."""
+    try:
+        view = _Parser(data).parse_view()
+    except RecursionError:
+        raise ValueError("view encoding nested too deeply") from None
     if canonical_encode(view) != data:
         raise ValueError("not a canonical view encoding")
     return view

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, one pass/fail line each.
+"""Acceptance suite: one test per criterion, one pass/fail line each,
+plus pinned facts that extend a criterion to the next host.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 Frozen fit constants and parameter grids live at the top of each test.
@@ -127,6 +128,16 @@ def test_criterion_05_one_round_bound_delta4(tmp_path, host_7_4):
             f"DIMACS export of {n} vertices / {len(edges)} edges with sidecar; "
             f"planted 5-clique verified; internal solver exhausted k=5 in "
             f"{solver_elapsed:.1f}s, so chi = 6 >= 5")
+
+
+def test_local1_84_k5_exhausted_at_pinned_budget():
+    # the next one-round host (2640 vertices, 403200 edges): the search
+    # exhausts k=5 after exactly 10796 expansions, so chi(local1(8,4)) > 5;
+    # saturation greedy gives 7, and k=6 stays open at budget 200000
+    host = build_local1(8, 4, MULTISET)
+    assert (host.n_vertices, host.n_edges) == (2640, 403_200)
+    assert is_k_colorable(host, 5, budget=10_796) == ("no", None)
+    assert is_k_colorable(host, 5, budget=10_795) == ("unknown", None)
 
 
 def test_criterion_06_refuter_suite(host_7_4):

@@ -1,5 +1,7 @@
 """Refuters and source machinery against the counting arguments."""
 
+import random
+
 import pytest
 
 from colorreduce import (MULTISET, SET, ParameterError, View, build_local1,
@@ -10,6 +12,7 @@ from colorreduce import (MULTISET, SET, ParameterError, View, build_local1,
                          uncovered_defective_node, uncovered_local1_node)
 from colorreduce.bounds import (random_defective_classes,
                                 random_independent_sets, random_relaxed_class)
+from colorreduce.nbhd import mutual_edge
 
 
 def leaf(kind, c):
@@ -226,6 +229,97 @@ def test_refute_relaxed_class_count_precondition():
     levels = build_relaxed_levels(0, 7, 4)
     with pytest.raises(ParameterError):
         refute_relaxed([frozenset()] * 5, 1, 7, 4, levels=levels)
+
+
+# --- class checks against the pairwise scans they replaced -------------------
+
+def seed_is_independent(nodes):
+    nodes = list(nodes)
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            if mutual_edge(u, v):
+                return False
+    return True
+
+
+def seed_class_defect(nodes):
+    nodes = list(nodes)
+    worst = 0
+    for u in nodes:
+        deg = sum(1 for v in nodes if v is not u and mutual_edge(u, v))
+        worst = max(worst, deg)
+    return worst
+
+
+def random_classes(count, seed):
+    """Lists drawn from hosts of depth 0, 1 and 2 (both kinds): a few
+    members plus some of their neighbors, repeated entries, bare leaves
+    and members that list their own center among their children."""
+    hosts = [build_local1(5, 3, MULTISET), build_local1(4, 2, SET)]
+    hosts += build_relaxed_levels(2, 3, 2)
+    selfish = [node(SET, 1, [1, 2]), node(MULTISET, 2, [2]), node(SET, 2, [1])]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        cls = []
+        for host in rng.sample(hosts, rng.randrange(1, 3)):
+            for _ in range(rng.randrange(0, 5)):
+                i = rng.randrange(host.n_vertices)
+                cls.append(host.vertices[i])
+                nbrs = host.adjacency[i]
+                cls += [host.vertices[j] for j in rng.sample(nbrs, min(len(nbrs), rng.randrange(0, 4)))]
+        cls += [leaf(rng.choice((SET, MULTISET)), rng.randrange(1, 5)) for _ in range(rng.randrange(0, 3))]
+        cls += rng.sample(selfish, rng.randrange(0, 3))
+        if cls:
+            cls += rng.choices(cls, k=rng.randrange(0, 3))
+        rng.shuffle(cls)
+        out.append(cls)
+    return out
+
+
+def test_class_checks_match_pairwise_scans():
+    classes = random_classes(400, seed=5)
+    classes += random_independent_sets(build_local1(5, 3, MULTISET), 20, seed=1)
+    classes += [[], [node(SET, 1, [1, 2])], [node(SET, 1, [1, 2])] * 2, [leaf(SET, 1)] * 3]
+    assert {is_independent(cls) for cls in classes} == {True, False}
+    assert len({class_defect(cls) for cls in classes}) > 3
+    for cls in classes:
+        assert is_independent(cls) == seed_is_independent(cls), cls
+        assert class_defect(cls) == seed_class_defect(cls), cls
+
+
+def seed_defective_classes(m, delta, d, count, seed, kind=MULTISET):
+    """random_defective_classes with the pairwise `touching` scan."""
+    rng = random.Random(seed)
+    leaves = {c: View.leaf(kind, c) for c in range(1, m + 1)}
+    out = []
+    for _ in range(count):
+        members, degrees = [], {}
+        for _ in range(4 * m):
+            x = rng.randrange(1, m + 1)
+            size = rng.randrange(0, delta + 1)
+            pool = [y for y in range(1, m + 1) if y != x]
+            a = rng.sample(pool, min(size, len(pool)))
+            v = View.make(kind, leaves[x], (leaves[y] for y in a))
+            if v in degrees:
+                continue
+            touching = [u for u in members if mutual_edge(v, u)]
+            if len(touching) > d or any(degrees[u] + 1 > d for u in touching):
+                continue
+            members.append(v)
+            degrees[v] = len(touching)
+            for u in touching:
+                degrees[u] += 1
+        out.append(members)
+    return out
+
+
+@pytest.mark.parametrize("delta", [4, 5, 6])
+def test_defective_classes_match_pairwise_touching(delta):
+    m = 2 * delta * delta
+    for seed in range(50):
+        got = random_defective_classes(m, delta, 1, count=2, seed=seed)
+        assert got == seed_defective_classes(m, delta, 1, 2, seed), seed
 
 
 # --- defective machinery -----------------------------------------------------

@@ -12,7 +12,8 @@ from colorreduce import (MULTISET, SET, ConstructionError, ParameterError,
                          build_local1, build_relaxed, chi_exact, dsatur,
                          embedded_clique, export_dimacs, greedy_clique,
                          is_k_colorable, read_dimacs)
-from colorreduce.chromatic import _check_witness, as_adjacency
+from colorreduce.chromatic import (_Budget, _check_witness, _search_k_coloring,
+                                   as_adjacency)
 
 TRIANGLE = [[1, 2], [0, 2], [0, 1]]
 
@@ -84,6 +85,86 @@ def test_dsatur_matches_standalone_loop():
     assert any(not adj for adj in graphs)
     for adj in graphs:
         assert dsatur(adj) == seed_dsatur(adj)
+
+
+def seed_search_k_coloring(adj, k, budget):
+    """The search loop with neighbor-color sets, a full-neighborhood rescan
+    on every undo and an O(n) pick, which the counted, bucketed search
+    replaced."""
+    n = len(adj)
+    colors = [0] * n
+    neighbor_colors = [set() for _ in range(n)]
+    degree = [len(s) for s in adj]
+
+    def pick():
+        best, best_key = -1, None
+        for v in range(n):
+            if colors[v]:
+                continue
+            key = (len(neighbor_colors[v]), degree[v], -v)
+            if best_key is None or key > best_key:
+                best, best_key = v, key
+        return best
+
+    def assign(v, c):
+        colors[v] = c
+        for u in adj[v]:
+            neighbor_colors[u].add(c)
+
+    def unassign(v, c):
+        colors[v] = 0
+        for u in adj[v]:
+            if not any(colors[w] == c for w in adj[u]):
+                neighbor_colors[u].discard(c)
+
+    def first_free(v, after, upper):
+        for cand in range(after + 1, upper + 1):
+            if cand not in neighbor_colors[v]:
+                return cand
+        return None
+
+    max_used = 0
+    stack = []
+    while True:
+        if len(stack) == n:
+            return "yes", list(colors)
+        v = pick()
+        c = first_free(v, 0, min(k, max_used + 1))
+        if c is not None:
+            if not budget.spend():
+                return "unknown", None
+            stack.append((v, c, max_used))
+            assign(v, c)
+            max_used = max(max_used, c)
+            continue
+        while stack:
+            v, c, prev_max = stack.pop()
+            unassign(v, c)
+            max_used = prev_max
+            nxt = first_free(v, c, min(k, max_used + 1))
+            if nxt is not None:
+                if not budget.spend():
+                    return "unknown", None
+                stack.append((v, nxt, max_used))
+                assign(v, nxt)
+                max_used = max(max_used, nxt)
+                break
+        else:
+            return "no", None
+
+
+def test_search_matches_rescanning_oracle():
+    graphs = [random_graph(seed % 41, (1 + seed % 9) / 10, seed) for seed in range(200)]
+    graphs += [as_adjacency(build_local1(5, 3, MULTISET)), as_adjacency(build_local1(6, 4, MULTISET)),
+               as_adjacency(build_relaxed(1, 5, 3))]
+    assert any(not adj for adj in graphs)
+    for i, adj in enumerate(graphs):
+        for k in range(1, 7):
+            for limit in (0, 1, 10, 100, 10**5):
+                new, old = _Budget(limit), _Budget(limit)
+                got = _search_k_coloring(adj, k, new)
+                assert got == seed_search_k_coloring(adj, k, old), (i, k, limit)
+                assert new.used == old.used, (i, k, limit)
 
 
 @pytest.mark.parametrize("budget,expected", [

@@ -141,6 +141,22 @@ def test_color_graph_with_out_of_range_endpoint_exits_1(tmp_path, capsys):
     _assert_one_error_line(code, capsys)
 
 
+@pytest.mark.parametrize("graph", [
+    {"n": 2, "edges": [[0, 1]], "m": 3, "delta": 1},  # no psi
+    {"n": 2, "edges": [[0, "1"]], "psi": [1, 2], "m": 3, "delta": 1},
+    {"n": "2", "edges": [[0, 1]], "psi": [1, 2], "m": 3, "delta": 1},
+    {"n": 2, "edges": 5, "psi": [1, 2], "m": 3, "delta": 1},
+    [],
+    '{"n": 2,',  # not JSON
+])
+def test_color_malformed_graph_file_exits_1(graph, tmp_path, capsys):
+    gpath = tmp_path / "instance.json"
+    gpath.write_text(graph if isinstance(graph, str) else json.dumps(graph))
+    code = main(["color", "--algo", "delta1", "--m", "3", "--delta", "1",
+                 "--graph", str(gpath), "--out", str(tmp_path / "run")])
+    _assert_one_error_line(code, capsys)
+
+
 def test_refute_malformed_classes_file_exits_1(tmp_path, capsys):
     classes_file = tmp_path / "classes.json"
     classes_file.write_text(json.dumps([[{"inner": 1}]]))

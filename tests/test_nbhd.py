@@ -332,6 +332,13 @@ def test_hom_map_is_immutable():
         hom.mapping[hom.domain.vertices[0]] = hom.domain.vertices[1]
 
 
+def test_hom_report_is_immutable():
+    report = verify_homomorphism(typed_to_setlocal_hom(1, 3, 2))
+    assert report.ok and report.missing_images == () and report.broken_edges == ()
+    with pytest.raises(FrozenInstanceError):
+        report.broken_edges = ()
+
+
 def test_chi_monotone_along_homomorphisms():
     pairs = [typed_to_setlocal_hom(1, 3, 2), relaxed_to_typed_hom(1, 3, 1)]
     for hom in pairs:

@@ -85,6 +85,11 @@ def test_decode_rejects_non_canonical_encodings(data):
         canonical_decode(data)
 
 
+def test_decode_rejects_deep_nesting_with_value_error():
+    with pytest.raises(ValueError):
+        canonical_decode(b"S1(" * 5000)
+
+
 def test_make_rejects_multiplicities_below_one():
     for count in (0, -1):
         with pytest.raises(ValueError):
