@@ -36,8 +36,9 @@ from .nbhd import (BOTTOM, HomMap, NbhdGraph, build_local1, build_relaxed,
                    build_typed_levels, center, mutual_edge,
                    relaxed_to_typed_hom, typed_to_setlocal_hom, types,
                    verify_homomorphism)
-from .simulate import (CorrespondenceReport, NodeProgram, SimTrace,
-                       check_correspondence, full_information_program, run)
+from .simulate import (ColorRounds, CorrespondenceReport, NodeProgram,
+                       SimTrace, check_correspondence,
+                       full_information_program, run)
 from .views import (MULTISET, SET, View, canonical_decode, canonical_encode,
                     erase_multiplicities, extract_all_views, extract_view,
                     truncate, view_from_json, view_to_json)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstructionError, ParameterError
-from .simulate import NodeProgram
+from .simulate import ColorRounds, NodeProgram
 
 
 def logstar2(x) -> int:
@@ -119,29 +119,25 @@ class CoverFreeFamily:
             raise ParameterError(f"{self.params.q} is not prime; need a prime field order")
         if self.m > self.params.q ** (self.params.deg + 1):
             raise ParameterError("palette larger than available polynomials")
-        object.__setattr__(self, "_memo", {})
+
+    def evaluate(self, color: int, a: int) -> int:
+        """P_color(a) over GF(q); the coefficients of P_color, lowest
+        first, are the base-q digits of color - 1.  No range check."""
+        q, rest = self.params.q, color - 1
+        if a == 0:
+            return rest % q
+        acc, power = 0, 1
+        while rest:
+            rest, coef = divmod(rest, q)
+            acc += coef * power
+            power *= a
+        return acc % q
 
     def member(self, color: int) -> frozenset[int]:
-        got = self._memo.get(color)
-        if got is not None:
-            return got
         if not 1 <= color <= self.m:
             raise ParameterError(f"color {color} outside [1, {self.m}]")
-        q, deg = self.params.q, self.params.deg
-        value = color - 1
-        coeffs = []
-        for _ in range(deg + 1):
-            coeffs.append(value % q)
-            value //= q
-        points = set()
-        for a in range(q):
-            acc = 0
-            for coef in reversed(coeffs):
-                acc = (acc * a + coef) % q
-            points.add(a * q + acc + 1)
-        out = frozenset(points)
-        self._memo[color] = out
-        return out
+        q = self.params.q
+        return frozenset(a * q + self.evaluate(color, a) + 1 for a in range(q))
 
     def members(self):
         return [self.member(c) for c in range(1, self.m + 1)]
@@ -181,53 +177,45 @@ def delta_plus_one_schedule(m: int, delta: int) -> list[int]:
 
 
 def _linial_rule(family: CoverFreeFamily):
-    def rule(color, received):
-        own = family.member(color)
-        banned = set()
-        for msg in received:
-            banned.update(family.member(int(msg)))
-        free = own - banned
-        if not free:
-            raise ConstructionError(
-                "color set exhausted by neighbors; cover-freeness violated"
-            )
-        return min(free)
+    """min(member(color) minus the union of the neighbors' members).
+
+    A member holds one point (a, P(a)) per a, and points are numbered by
+    a first, so that minimum is the point at the first a where no
+    neighbor's polynomial takes the node's value."""
+    q, m, evaluate = family.params.q, family.m, family.evaluate
+
+    def rule(color, neighbor_colors):
+        for c in (color, *neighbor_colors):
+            if not 1 <= c <= m:
+                raise ParameterError(f"color {c} outside [1, {m}]")
+        for a in range(q):
+            b = evaluate(color, a)
+            if all(evaluate(c, a) != b for c in neighbor_colors):
+                return a * q + b + 1
+        raise ConstructionError(
+            "color set exhausted by neighbors; cover-freeness violated"
+        )
 
     return rule
 
 
 def _kw_rule(q: int, delta: int):
-    def rule(color, received):
+    def rule(color, neighbor_colors):
         if color <= q:
             return color
         i = color - q - 1
         low = i * (delta + 1) + 1
-        taken = {int(msg) for msg in received}
         for candidate in range(low, low + delta + 1):
-            if candidate not in taken:
+            if candidate not in neighbor_colors:
                 return candidate
         raise ConstructionError("all delta+1 range colors taken by <= delta neighbors")
 
     return rule
 
 
-def _schedule_program(rules, palettes, name) -> NodeProgram:
-    budget = len(rules)
-
-    def init(color, m, delta, n):
-        return (0, color)
-
-    def step(state, received):
-        t, color = state
-        if t > 0:
-            color = rules[t - 1](color, received)
-        return (t + 1, color), b"%d" % color
-
-    def finalize(state):
-        return state[1]
-
-    return NodeProgram(init, step, finalize, lambda m, d, n: budget,
-                       name=name, meta={"palettes": palettes})
+def _schedule_program(rounds, palettes, name) -> NodeProgram:
+    """`rounds` holds one (rule, keep) pair per round; see ColorRounds."""
+    return ColorRounds(rounds).program(name, meta={"palettes": palettes})
 
 
 def linial_step_program(m: int, delta: int) -> NodeProgram:
@@ -236,24 +224,25 @@ def linial_step_program(m: int, delta: int) -> NodeProgram:
     proper q^2-coloring."""
     params = linial_params(m, delta)
     family = build_family(params, m)
-    return _schedule_program([_linial_rule(family)], [m, params.target],
+    return _schedule_program([(_linial_rule(family), 0)], [m, params.target],
                              f"linial-step[{m}->{params.target}]")
 
 
-def _schedule_rules(palettes, delta: int):
-    """One rule per step of a schedule that starts as
+def _schedule_rounds(palettes, delta: int):
+    """One (rule, keep) pair per step of a schedule that starts as
     linial_palette_schedule(palettes[0], delta): a color-set reduction
-    round per step of that prefix, then a merge round per later palette."""
+    round per step of that prefix, then a merge round per later palette
+    (which keeps every color at or below its target)."""
     reductions = len(linial_palette_schedule(palettes[0], delta)) - 1
-    rules = [_linial_rule(build_family(linial_params(p, delta), p))
-             for p in palettes[:reductions]]
-    return rules + [_kw_rule(q, delta) for q in palettes[reductions + 1:]]
+    rounds = [(_linial_rule(build_family(linial_params(p, delta), p)), 0)
+              for p in palettes[:reductions]]
+    return rounds + [(_kw_rule(q, delta), q) for q in palettes[reductions + 1:]]
 
 
 def linial_full_program(m: int, delta: int) -> NodeProgram:
     """Iterate the reduction until the target palette stops shrinking."""
     palettes = linial_palette_schedule(m, delta)
-    return _schedule_program(_schedule_rules(palettes, delta), palettes,
+    return _schedule_program(_schedule_rounds(palettes, delta), palettes,
                              f"linial[{m}->{palettes[-1]}]")
 
 
@@ -264,7 +253,7 @@ def kw_step_program(m: int, delta: int) -> NodeProgram:
     if m <= delta + 1:
         raise ParameterError(f"m={m} already at or below delta+1={delta + 1}; nothing to merge")
     q = kw_target(m, delta)
-    return _schedule_program([_kw_rule(q, delta)], [m, q], f"kw-step[{m}->{q}]")
+    return _schedule_program([(_kw_rule(q, delta), q)], [m, q], f"kw-step[{m}->{q}]")
 
 
 def delta_plus_one_program(m: int, delta: int) -> NodeProgram:
@@ -273,5 +262,5 @@ def delta_plus_one_program(m: int, delta: int) -> NodeProgram:
     if m < delta + 2:
         raise ParameterError(f"need m >= delta+2, got m={m}, delta={delta}")
     palettes = delta_plus_one_schedule(m, delta)
-    return _schedule_program(_schedule_rules(palettes, delta), palettes,
+    return _schedule_program(_schedule_rounds(palettes, delta), palettes,
                              f"delta1[{m},{delta}]")

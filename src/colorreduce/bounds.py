@@ -79,11 +79,13 @@ def class_defect(nodes) -> int:
 def _cover(class_nodes, key=None) -> dict:
     """Center -> union of the distinct children of the members centered
     there, both read through `key` when given (level-1 code compares
-    colors, not views)."""
+    colors, not views, so its members must be one-round vertices)."""
     cover: dict = {}
     for node in class_nodes:
         x, children = node.inner, node.distinct_children()
         if key is not None:
+            if node.depth != 1:
+                raise ParameterError(f"class member {node!r} is not a one-round vertex")
             x, children = key(x), map(key, children)
         cover.setdefault(x, set()).update(children)
     return cover

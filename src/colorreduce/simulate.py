@@ -14,6 +14,22 @@ rounds ``finalize(state)`` yields the node's output color.
 The engine is a pure fold over rounds: identical inputs produce
 byte-identical traces, and node steps of one round may be evaluated in
 any order (they only read the previous round's messages).
+
+Color-only programs.  A program whose every round is a function of
+(own color, set of neighbor colors) can be written as a `ColorRounds`
+object: its rules are that function, one per round, and
+`ColorRounds.program` wraps them as a NodeProgram whose step broadcasts
+``b"%d" % color`` and parses the received messages back into a set of
+ints.  `run` executes such a program on a plain color list instead (no
+messages, no per-node states, and a merge round touches only the nodes
+above the colors it keeps, or none) when ``trace`` is false and the
+program is exactly as `ColorRounds.program` built it.  With
+``trace=True``, or when any of init, step, finalize or round_budget has
+been replaced (say, by a wrapped step), `run` takes the general message
+path, which stays the semantics oracle: both paths give the same colors,
+and the same SimulationError node, round and cause.  Delivery does not
+matter to such a program, since a set of colors reads the same from a
+set or a multiset of messages.
 """
 
 from __future__ import annotations
@@ -39,6 +55,64 @@ class NodeProgram:
     round_budget: Callable[[int, int, int], int]
     name: str = "program"
     meta: dict | None = None
+
+
+class ColorRounds:
+    """The step of a color-only program, one rule per round.
+
+    Round t applies ``rule(color, neighbor_colors) -> color`` of the t-th
+    (rule, keep) pair, where neighbor_colors is the set of the colors the
+    neighbors held after round t - 1.  The rule returns every color
+    <= keep unchanged, whatever the neighbors hold (keep is 0 when it may
+    change any color).  Called as a step, the object is the general
+    byte-message form of the same rules.
+    """
+
+    __slots__ = ("rounds",)
+
+    def __init__(self, rounds):
+        self.rounds = tuple(rounds)
+
+    def init(self, color, m, delta, n):
+        return (0, color)
+
+    def __call__(self, state, received):
+        t, color = state
+        if t > 0:
+            color = self.rounds[t - 1][0](color, {int(msg) for msg in received})
+        return (t + 1, color), b"%d" % color
+
+    def finalize(self, state):
+        return state[1]
+
+    def round_budget(self, m, delta, n):
+        return len(self.rounds)
+
+    def program(self, name, meta=None) -> NodeProgram:
+        return NodeProgram(self.init, self, self.finalize, self.round_budget,
+                           name=name, meta=meta)
+
+    def built(self, prog: NodeProgram) -> bool:
+        """True iff prog is this object's own program, nothing replaced."""
+        return (prog.step is self and prog.init == self.init
+                and prog.finalize == self.finalize
+                and prog.round_budget == self.round_budget)
+
+    def run_colors(self, g: ColoredGraph) -> list[int]:
+        """The output color of every node of g, computed on a color list."""
+        adj, colors = g.adjacency, list(g.psi)
+        for t, (rule, keep) in enumerate(self.rounds, start=1):
+            if max(colors) <= keep:
+                continue
+            movers = [v for v, c in enumerate(colors) if c > keep]
+            held = colors.__getitem__
+            colors = colors[:]
+            for v in movers:
+                try:
+                    colors[v] = rule(held(v), set(map(held, adj[v])))
+                except Exception as exc:  # noqa: BLE001
+                    raise SimulationError(v, t, exc) from exc
+        return colors
 
 
 def _digest_state(state) -> str:
@@ -90,10 +164,16 @@ def run(g: ColoredGraph, prog: NodeProgram, kind=SET, trace: bool = False):
     """Execute prog synchronously on g; returns (ColorAssignment, SimTrace|None).
 
     Under set delivery each distinct byte-string reaches a node at most
-    once per round no matter how many neighbors sent it.
+    once per round no matter how many neighbors sent it.  A program that
+    ColorRounds.program built runs on colors alone unless `trace` is set
+    (see the module docstring).
     """
     if kind not in (SET, MULTISET):
         raise ParameterError(f"unknown delivery kind {kind!r}")
+    step = prog.step
+    if type(step) is ColorRounds and not trace and step.built(prog):
+        colors = step.run_colors(g)
+        return ColorAssignment(tuple(colors), max(colors)), None
     n, adj = g.n, g.adjacency
     budget = prog.round_budget(g.m, g.delta_cap, n)
     states = []

@@ -1,17 +1,19 @@
 """Color reduction algorithms against brute-force oracles."""
 
+import random
 from itertools import combinations
 
 import pytest
 
-from colorreduce import (SET, ColorAssignment, ColoredGraph, ParameterError,
+from colorreduce import (SET, ColorAssignment, ColoredGraph,
+                         ConstructionError, ParameterError,
                          build_family, delta_plus_one_program,
                          delta_plus_one_schedule, kw_palette_schedule,
                          kw_step_program, kw_target, linial_full_program,
                          linial_palette_schedule, linial_params,
                          linial_step_program, logstar2, random_colored_tree,
                          run, validate_proper)
-from colorreduce.algorithms import is_prime
+from colorreduce.algorithms import _linial_rule, is_prime
 
 
 def oracle_params(m, delta, max_deg=20, max_prime=10**4):
@@ -204,3 +206,53 @@ def test_delta1_intermediate_rounds_stay_proper():
             colors = [int(trace.sent_at(t, v)) for v in range(g.n)]
             inter = ColorAssignment(tuple(colors), max(colors))
             assert validate_proper(g, inter), f"round {t} improper"
+
+
+def _member_oracle(fam, color, neighbor_colors):
+    """The reduction step read off the color sets themselves."""
+    banned = set()
+    for c in neighbor_colors:
+        banned |= fam.member(c)
+    free = fam.member(color) - banned
+    return min(free) if free else None
+
+
+@pytest.mark.parametrize("m, delta", [(16, 2), (100, 3), (10**4, 5), (10**6, 8)])
+def test_linial_rule_equals_member_oracle(m, delta):
+    fam = build_family(linial_params(m, delta), m)
+    q = fam.params.q
+    rule = _linial_rule(fam)
+    rng = random.Random(m * 31 + delta)
+    collisions = 0
+    for _ in range(400):
+        color = rng.randint(1, m)
+        # same constant coefficient as color: the polynomials meet at a = 0
+        twins = [c for c in range(color % q or q, m + 1, q) if c != color]
+        pool = rng.sample(twins, min(len(twins), rng.randint(0, delta)))
+        while len(pool) < delta:
+            c = rng.randint(1, m)
+            if c != color and c not in pool:
+                pool.append(c)
+        neighbors = set(rng.sample(pool, rng.randint(0, delta)))
+        collisions += any(c in twins for c in neighbors)
+        assert rule(color, neighbors) == _member_oracle(fam, color, neighbors)
+    assert collisions > 50
+
+
+def test_linial_rule_exhausted_and_out_of_range():
+    fam = build_family(linial_params(16, 2), 16)
+    rule = _linial_rule(fam)
+    assert _member_oracle(fam, 7, {7}) is None
+    with pytest.raises(ConstructionError):
+        rule(7, {7})
+    with pytest.raises(ParameterError):
+        rule(17, {1})
+    with pytest.raises(ParameterError):
+        rule(1, {2, 17})
+
+
+def test_family_holds_no_state_beyond_its_fields():
+    # a frozen value is shareable across threads only if nothing in it mutates
+    fam = build_family(linial_params(16, 2), 16)
+    fam.members()
+    assert set(vars(fam)) == {"params", "m"}

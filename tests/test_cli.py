@@ -165,6 +165,24 @@ def test_refute_malformed_classes_file_exits_1(tmp_path, capsys):
     _assert_one_error_line(code, capsys)
 
 
+@pytest.mark.parametrize("member", [
+    # a two-round vertex: its center is a view, not a color
+    {"inner": {"inner": 1, "children": [[2, 1]]},
+     "children": [[{"inner": 2, "children": [[1, 1]]}, 1]]},
+    3,  # a bare color: no neighbor collection at all
+])
+@pytest.mark.parametrize("flags", [
+    ["--m", "7", "--d", "4"],
+    ["--m", "32", "--d", "4", "--defect", "1"],
+])
+def test_refute_class_member_not_one_round_exits_1(member, flags, tmp_path, capsys):
+    classes_file = tmp_path / "classes.json"
+    classes_file.write_text(json.dumps([[member]]))
+    code = main(["refute", "--family", "nh1", *flags,
+                 "--classes", str(classes_file), "--out", str(tmp_path)])
+    _assert_one_error_line(code, capsys)
+
+
 def test_verify_hom_subcommands(tmp_path, capsys):
     code, out = run_cli(["verify-hom", "--which", "h", "--r", "1", "--m", "3",
                          "--d", "2", "--out", str(tmp_path / "h")], capsys)

@@ -1,13 +1,16 @@
 """Simulator: delivery semantics, determinism, view correspondence."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
-from colorreduce import (MULTISET, SET, ColoredGraph, NodeProgram,
-                         SimulationError, check_correspondence,
-                         extract_view, full_information_program,
-                         linial_step_program, random_colored_tree, run)
+from colorreduce import (MULTISET, SET, ColoredGraph, ColorRounds,
+                         NodeProgram, SimulationError, check_correspondence,
+                         delta_plus_one_program, extract_view,
+                         full_information_program, kw_step_program,
+                         linial_full_program, linial_step_program,
+                         random_colored_tree, run)
 
 
 def star3():
@@ -189,3 +192,86 @@ def test_correspondence_flags_constant_program():
     report = check_correspondence(prog, 1, 4, 3, trees)
     assert not report.determinism_violations
     assert report.properness_violations  # every edge is monochromatic
+
+
+# --- the color path against the general message path --------------------
+
+GRID = [(delta, m) for delta in range(2, 9) for m in (10**2, 10**4, 10**6)]
+TREES_PER_POINT = 10
+
+
+def _schedule_programs(m, delta):
+    return [linial_step_program(m, delta), kw_step_program(m, delta),
+            linial_full_program(m, delta), delta_plus_one_program(m, delta)]
+
+
+def _outcome(g, prog, kind, trace):
+    try:
+        phi, _ = run(g, prog, kind, trace=trace)
+    except SimulationError as exc:
+        return ("error", exc.node, exc.round_index, type(exc.cause))
+    return ("ok", phi)
+
+
+def test_color_path_equals_general_path_on_criterion_01_trees():
+    budgets = set()
+    for delta, m in GRID:
+        for prog in _schedule_programs(m, delta):
+            budgets.add(prog.round_budget(m, delta, 24))
+            for i in range(TREES_PER_POINT):
+                g = random_colored_tree(24, delta, m, seed=delta * 10**7 + m + i)
+                for kind in (SET, MULTISET):
+                    fast, trace = run(g, prog, kind)
+                    assert trace is None
+                    general, trace = run(g, prog, kind, trace=True)
+                    assert fast == general, (prog.name, i, kind)
+                    assert len(trace.rounds) == prog.round_budget(m, delta, g.n)
+    assert 0 in budgets  # linial_full_program at (m=100, delta>=3) has no rounds
+
+
+def test_color_path_never_calls_the_message_step(monkeypatch):
+    prog = delta_plus_one_program(10**4, 5)
+    g = random_colored_tree(24, 5, 10**4, seed=3)
+    expected, _ = run(g, prog, SET, trace=True)
+
+    def no_step(self, state, received):
+        raise AssertionError("the color path called the message step")
+
+    monkeypatch.setattr(ColorRounds, "__call__", no_step)
+    assert run(g, prog, SET)[0] == expected
+
+
+@pytest.mark.parametrize("field", ["init", "step", "finalize", "round_budget"])
+def test_replaced_callable_takes_general_path(field):
+    prog = delta_plus_one_program(10**4, 4)
+    calls = []
+    original = getattr(prog, field)
+
+    def wrapped(*args):
+        calls.append(args)
+        return original(*args)
+
+    g = random_colored_tree(24, 4, 10**4, seed=5)
+    phi, _ = run(g, replace(prog, **{field: wrapped}), SET)
+    assert calls
+    assert phi == run(g, prog, SET)[0]
+
+
+@pytest.mark.parametrize("prog, tree_m", [
+    # built for delta 2, run on trees of degree up to 8
+    (delta_plus_one_program(10**4, 2), 10**4),
+    (linial_step_program(16, 2), 16),
+    (kw_step_program(12, 2), 12),
+    # built for a smaller palette than the trees' colors
+    (linial_step_program(50, 8), 10**4),
+], ids=["delta1", "linial-step", "kw-step", "linial-palette"])
+def test_failing_run_raises_the_same_error_on_both_paths(prog, tree_m):
+    failures = set()
+    for seed in range(40):
+        g = random_colored_tree(24, 8, tree_m, seed=seed)
+        for kind in (SET, MULTISET):
+            fast = _outcome(g, prog, kind, trace=False)
+            assert fast == _outcome(g, prog, kind, trace=True)
+            if fast[0] == "error":
+                failures.add(fast[1:])
+    assert failures
