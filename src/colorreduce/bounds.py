@@ -32,45 +32,21 @@ from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import ConstructionError, ParameterError
-from .nbhd import DEFAULT_CAP, NbhdGraph, build_relaxed_levels, mutual_edge
+from .nbhd import (DEFAULT_CAP, NbhdGraph, adjacent_positions, build_relaxed_levels,
+                   mutual_edge)
 from .views import MULTISET, SET, View, canonical_encode
-
-
-def _adjacent_positions(nodes):
-    """Ordered pairs (i, j), i != j, of list positions whose members are
-    joined by the edge rule, found through an index of positions by
-    center: a depth >= 1 member can only meet members centered on one of
-    its children (which share its depth), and depth-0 members meet every
-    distinct leaf.  Duplicate entries pair up like any other positions."""
-    leaves, by_center = [], {}
-    for i, u in enumerate(nodes):
-        if u.depth == 0:
-            leaves.append(i)
-        else:
-            by_center.setdefault(u.inner, []).append(i)
-    for i in leaves:
-        for j in leaves:
-            if nodes[i] is not nodes[j]:
-                yield i, j
-    for i, u in enumerate(nodes):
-        if u.depth == 0:
-            continue
-        for child in u.child_lookup:
-            for j in by_center.get(child, ()):
-                if j != i and u.inner in nodes[j].child_lookup:
-                    yield i, j
 
 
 def is_independent(nodes) -> bool:
     """No two class members are joined by the mutual-membership edge rule."""
-    return next(_adjacent_positions(list(nodes)), None) is None
+    return next(adjacent_positions(list(nodes)), None) is None
 
 
 def class_defect(nodes) -> int:
     """Maximum induced degree of the class under the edge rule."""
     nodes = list(nodes)
     degree = [0] * len(nodes)
-    for i, j in _adjacent_positions(nodes):
+    for i, j in adjacent_positions(nodes):
         if nodes[i] is not nodes[j]:
             degree[i] += 1
     return max(degree, default=0)
@@ -124,9 +100,6 @@ class Orientation:
 
     def is_source_within(self, x: int, within) -> bool:
         return _is_source(self.heads, x, within)
-
-    def covers(self, x: int, neighbor_colors) -> bool:
-        return _is_source(self.heads, x, neighbor_colors)
 
 
 def orientation_of(class_nodes, m: int) -> Orientation:
@@ -206,7 +179,7 @@ def uncovered_local1_node(classes, m: int, delta: int, kind=None) -> View:
                      (View.leaf(kind, y) for y in sorted(a_set)))
     # independent re-verification, off the construction path
     for k, o in enumerate(orientations):
-        if o.covers(x, a_set):
+        if o.is_source_within(x, a_set):
             raise ConstructionError(f"result is covered by class {k}")
         if any(node is member for member in classes[k]):
             raise ConstructionError(f"result is a member of class {k}")
@@ -563,8 +536,7 @@ def lower_bound_rounds(delta: int, C: float = 1.0, eta: float = 0.0) -> BoundRep
 
 # --- seeded family generators (suite instrumentation) ----------------------
 
-def random_independent_sets(graph: NbhdGraph, count: int, seed: int,
-                            maximal: bool = True) -> list[frozenset[View]]:
+def random_independent_sets(graph: NbhdGraph, count: int, seed: int) -> list[frozenset[View]]:
     """Greedy independent sets over seeded random vertex orders."""
     rng = random.Random(seed)
     out = []
@@ -581,40 +553,39 @@ def random_independent_sets(graph: NbhdGraph, count: int, seed: int,
             blocked[i] = 1
             for j in graph.adjacency[i]:
                 blocked[j] = 1
-            if not maximal and len(chosen) >= n:
-                break
         out.append(frozenset(graph.vertices[i] for i in chosen))
     return out
 
 
-def random_defective_classes(m: int, delta: int, d: int, count: int, seed: int,
-                             tries_per_class: int | None = None,
-                             kind=MULTISET) -> list[list[View]]:
-    """Random d-defective classes of one-round vertices, sampled without
-    materializing the host graph (its vertex set explodes with m)."""
+def random_defective_classes(m: int, delta: int, d: int, count: int,
+                             seed: int) -> list[list[View]]:
+    """Random d-defective classes of one-round multiset vertices, sampled
+    without materializing the host graph (its vertex set explodes with m).
+
+    Draws are checked on colors: (x, A) touches a member (y, B) iff y is in
+    A and x is in B, so members are indexed by center color and a View is
+    built only for an accepted draw."""
     rng = random.Random(seed)
-    tries = tries_per_class if tries_per_class is not None else 4 * m
-    leaves = {c: View.leaf(kind, c) for c in range(1, m + 1)}
+    leaves = {c: View.leaf(MULTISET, c) for c in range(1, m + 1)}
     out = []
     for _ in range(count):
         members: list[View] = []
-        by_center: dict[View, list[View]] = {}
-        degrees: dict[View, int] = {}
-        for _ in range(tries):
+        by_center: dict[int, list[tuple]] = {}
+        degrees: dict[tuple, int] = {}
+        for _ in range(4 * m):
             x = rng.randrange(1, m + 1)
             size = rng.randrange(0, delta + 1)
-            pool = [y for y in range(1, m + 1) if y != x]
-            a = rng.sample(pool, min(size, len(pool)))
-            node = View.make(kind, leaves[x], (leaves[y] for y in a))
-            if node in degrees:
+            # the same draws as sampling the list of the colors other than x
+            a = frozenset(y + (y >= x) for y in rng.sample(range(1, m), min(size, m - 1)))
+            key = (x, a)
+            if key in degrees:
                 continue
-            touching = [u for y in node.child_lookup for u in by_center.get(y, ())
-                        if node.inner in u.child_lookup]
+            touching = [u for y in a for u in by_center.get(y, ()) if x in u[1]]
             if len(touching) > d or any(degrees[u] + 1 > d for u in touching):
                 continue
-            members.append(node)
-            by_center.setdefault(node.inner, []).append(node)
-            degrees[node] = len(touching)
+            members.append(View.make(MULTISET, leaves[x], (leaves[y] for y in a)))
+            by_center.setdefault(x, []).append(key)
+            degrees[key] = len(touching)
             for u in touching:
                 degrees[u] += 1
         out.append(members)

@@ -88,6 +88,32 @@ def mutual_edge(u: View, v: View) -> bool:
     return u.inner in v.child_lookup and v.inner in u.child_lookup
 
 
+def adjacent_positions(nodes):
+    """Ordered pairs (i, j), i != j, of list positions whose members are
+    joined by the edge rule, found through an index of positions by
+    center: a depth >= 1 member can only meet members centered on one of
+    its children (which share its depth), and depth-0 members meet every
+    distinct leaf.  Duplicate entries pair up like any other positions."""
+    leaves, by_center = [], {}
+    for i, u in enumerate(nodes):
+        if u.depth == 0:
+            leaves.append(i)
+        else:
+            by_center.setdefault(u.inner, []).append(i)
+    for i in leaves:
+        for j in leaves:
+            if nodes[i] is not nodes[j]:
+                yield i, j
+    for i, u in enumerate(nodes):
+        if u.depth == 0:
+            continue
+        x = u.inner
+        for child in u.child_lookup:
+            for j in by_center.get(child, ()):
+                if j != i and x in nodes[j].child_lookup:
+                    yield i, j
+
+
 @dataclass(frozen=True)
 class NbhdGraph:
     """A finite neighborhood graph with a canonical vertex order.
@@ -104,10 +130,11 @@ class NbhdGraph:
     variant: str
     vertices: tuple[View, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    _index: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
+        object.__setattr__(self, "_index", MappingProxyType(
+            {v: i for i, v in enumerate(self.vertices)}))
 
     @property
     def n_vertices(self) -> int:
@@ -122,9 +149,6 @@ class NbhdGraph:
 
     def has_vertex(self, v: View) -> bool:
         return v in self._index
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adjacency[i]
 
     def neighbor_views(self, v: View) -> tuple[View, ...]:
         return tuple(self.vertices[j] for j in self.adjacency[self._index[v]])
@@ -153,29 +177,17 @@ class NbhdGraph:
 
 def _finish(family, m, degree_param, level, variant, vertices, edges=None) -> NbhdGraph:
     """Sort vertices canonically and wire edges: the given (View, View)
-    pairs if any, else the mutual-membership rule."""
+    pairs if any, else the edge rule."""
     ordered = tuple(sorted(set(vertices), key=canonical_encode))
-    nbrs = [set() for _ in ordered]
-    if edges is not None:
-        index = {v: i for i, v in enumerate(ordered)}
-        for u, v in edges:
-            i, j = index[u], index[v]
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-    elif level == 0:
-        for i in range(len(ordered)):
-            nbrs[i] = set(range(len(ordered))) - {i}
+    if edges is None:
+        pairs = adjacent_positions(ordered)
     else:
-        by_center: dict[View, list[int]] = {}
-        for i, v in enumerate(ordered):
-            by_center.setdefault(v.inner, []).append(i)
-        for i, v in enumerate(ordered):
-            x = v.inner
-            for child in v.distinct_children():
-                for j in by_center.get(child, ()):
-                    if x in ordered[j].child_lookup:
-                        nbrs[i].add(j)
-                        nbrs[j].add(i)
+        index = {v: i for i, v in enumerate(ordered)}
+        pairs = ((index[u], index[v]) for u, v in edges)
+    nbrs = [set() for _ in ordered]
+    for i, j in pairs:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
     return NbhdGraph(family, m, degree_param, level, variant, ordered, adjacency)
 

@@ -5,9 +5,13 @@ depth-r view with the collection of its neighbors' depth-r views: a
 duplicate-free set under set delivery, a multiset under multiset delivery.
 
 Views are hash-consed: structurally equal views are the same object, so
-equality and hashing are O(1) even for deep views.  The exact canonical
-byte encoding is injective and decodable; it is materialized lazily and
-meant for desk-scale views (the interned digest serves deep ones).
+equality and hashing are plain object identity, O(1) even for deep views.
+Identity hashes follow memory addresses, so the iteration order of a set
+of views is not stable across runs; anything that must be reproducible
+orders views by digest or canonical encoding instead.  The exact
+canonical byte encoding is injective and decodable; it is materialized
+lazily and meant for desk-scale views (the interned digest serves deep
+ones).
 """
 
 from __future__ import annotations
@@ -98,13 +102,6 @@ class View:
             h.update(child.digest)
             h.update(b"%d," % cnt)
         return cls._intern(kind, inner.depth + 1, None, inner, items, h.digest())
-
-    # interning makes identity comparison exact
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return hash(self.digest)
 
     def __repr__(self):
         if self.depth == 0:

@@ -1,9 +1,14 @@
 """Command-line front end: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import colorreduce
 from colorreduce import MULTISET, build_local1, view_to_json
 from colorreduce.bounds import random_independent_sets
 from colorreduce.cli import main
@@ -214,3 +219,48 @@ def test_simulate_full_info_with_trace(tmp_path, capsys):
     assert len(trace) == 2 * 8  # one record per (round, node)
     record = json.loads(trace[0])
     assert set(record) == {"round", "node", "state", "sent", "received"}
+
+
+def _write_classes(path, classes):
+    path.write_text(json.dumps([[view_to_json(v) for v in sorted(cls, key=lambda x: x.digest)]
+                                for cls in classes]))
+    return str(path)
+
+
+def test_run_directories_repeat_across_hash_seeds_and_allocators(tmp_path):
+    from colorreduce import build_relaxed_levels
+    from colorreduce.bounds import random_defective_classes, random_relaxed_class
+
+    nh1 = _write_classes(tmp_path / "nh1.json",
+                         random_independent_sets(build_local1(5, 3, MULTISET), 2, seed=3))
+    defective = _write_classes(tmp_path / "defective.json",
+                               random_defective_classes(32, 4, 1, count=1, seed=9))
+    levels = build_relaxed_levels(0, 7, 4)
+    nt = _write_classes(tmp_path / "nt.json",
+                        [random_relaxed_class(levels, 20, seed=s, bound=4) for s in range(4)])
+    runs = {
+        "build": ["build", "--family", "nh1", "--m", "5", "--d", "3"],
+        "chi": ["chi", "--family", "nsl", "--r", "2", "--m", "3", "--d", "3"],
+        "refute-nh1": ["refute", "--family", "nh1", "--m", "5", "--d", "3", "--classes", nh1],
+        "refute-defect": ["refute", "--family", "nh1", "--m", "32", "--d", "4",
+                          "--defect", "1", "--classes", defective],
+        "refute-nt": ["refute", "--family", "nt", "--m", "7", "--d", "4", "--r", "1",
+                      "--variant", "set", "--classes", nt],
+    }
+    src = str(Path(colorreduce.__file__).resolve().parents[1])
+    contents = {}
+    # views hash by identity, so their set order follows memory addresses;
+    # switching the allocator moves those as the hash seed moves str hashes
+    for hash_seed, allocator in (("1", "pymalloc"), ("2", "malloc")):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONMALLOC=allocator,
+                   PYTHONPATH=src)
+        for name, args in runs.items():
+            out = tmp_path / hash_seed / name
+            proc = subprocess.run([sys.executable, "-m", "colorreduce.cli", *args,
+                                   "--out", str(out)], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            contents[hash_seed, name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    for name in runs:
+        assert contents["1", name], name
+        assert contents["1", name] == contents["2", name], name

@@ -7,7 +7,8 @@ import pytest
 
 from colorreduce import (BOTTOM, CapExceededError, ColoredGraph, HomMap,
                          MULTISET, SET, View, build_local1, build_relaxed,
-                         build_setlocal, build_typed, canonical_encode, center,
+                         build_relaxed_levels, build_setlocal, build_typed,
+                         build_typed_levels, canonical_encode, center,
                          chi_exact, extract_all_views, mutual_edge,
                          relaxed_to_typed_hom, typed_to_setlocal_hom, types,
                          verify_homomorphism)
@@ -243,7 +244,22 @@ def test_nbhd_graph_is_frozen():
     g = build_setlocal(1, 3, 2)
     with pytest.raises(FrozenInstanceError):
         g.adjacency = ()
+    with pytest.raises(TypeError):
+        g._index[g.vertices[0]] = 1
     assert g.vertex_index(g.vertices[-1]) == g.n_vertices - 1
+
+
+def test_adjacency_matches_pairwise_edge_rule():
+    graphs = [build_local1(4, 2, MULTISET), build_local1(4, 2, SET),
+              *build_relaxed_levels(2, 3, 2), *build_typed_levels(2, 3, 2)]
+    assert [g.level for g in graphs] == [1, 1, 0, 1, 2, 0, 1, 2]
+    for g in graphs:
+        pairwise = tuple(
+            tuple(j for j, v in enumerate(g.vertices) if mutual_edge(u, v))
+            for u in g.vertices
+        )
+        assert g.adjacency == pairwise, (g.family, g.level)
+        assert g.n_edges > 0
 
 
 def test_center_and_types_accessors():
