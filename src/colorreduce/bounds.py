@@ -52,18 +52,22 @@ def class_defect(nodes) -> int:
     return max(degree, default=0)
 
 
-def _cover(class_nodes, key=None) -> dict:
+def _cover(class_nodes, m=None) -> dict:
     """Center -> union of the distinct children of the members centered
-    there, both read through `key` when given (level-1 code compares
-    colors, not views, so its members must be one-round vertices)."""
+    there, both read as colors in [1, m] when m is given (level-1 code
+    compares colors, not views, so its members must be one-round vertices)."""
     cover: dict = {}
     for node in class_nodes:
         x, children = node.inner, node.distinct_children()
-        if key is not None:
+        if m is not None:
             if node.depth != 1:
                 raise ParameterError(f"class member {node!r} is not a one-round vertex")
-            x, children = key(x), map(key, children)
+            x, children = _color(x), map(_color, children)
         cover.setdefault(x, set()).update(children)
+    if m is not None:
+        outside = set(cover).union(*cover.values()).difference(range(1, m + 1))
+        if outside:
+            raise ParameterError(f"class member colors {sorted(outside)} lie outside [1, {m}]")
     return cover
 
 
@@ -103,7 +107,7 @@ class Orientation:
 
 
 def orientation_of(class_nodes, m: int) -> Orientation:
-    cover = _cover(class_nodes, key=_color)
+    cover = _cover(class_nodes, m)
     for x, ys in cover.items():
         for y in ys:
             if y != x and x in cover.get(y, ()):
@@ -385,7 +389,7 @@ def defective_sources(class_nodes, m: int, d: int, within=None) -> list[int]:
     if within is None:
         within = range(1, m + 1)
     within = sorted(set(within))
-    cover = _cover(class_nodes, key=_color)
+    cover = _cover(class_nodes, m)
     out = []
     for x in within:
         if not _is_source(cover, x, within):

@@ -78,6 +78,14 @@ def embedded_clique(graph: NbhdGraph) -> list[int] | None:
     return sorted(members)
 
 
+def clique_lower_bound(g, adj=None) -> int:
+    """Size of the greedy clique, raised to the planted clique of a
+    level-1 neighborhood graph when that is larger."""
+    lower = len(greedy_clique(as_adjacency(g) if adj is None else adj))
+    planted = embedded_clique(g) if isinstance(g, NbhdGraph) else None
+    return lower if planted is None else max(lower, len(planted))
+
+
 def _bipartition(adj: list[set[int]]) -> list[int] | None:
     n = len(adj)
     colors = [0] * n
@@ -256,15 +264,10 @@ def chi_exact(g, budget: int = 1_000_000) -> ChiResult:
     adj = as_adjacency(g)
     if not adj:
         return ChiResult(0, 0, True, tuple(), 0)
-    lower = len(greedy_clique(adj))
-    if isinstance(g, NbhdGraph):
-        planted = embedded_clique(g)
-        if planted is not None:
-            lower = max(lower, len(planted))
     witness, upper = dsatur(adj)
     best_witness = tuple(witness)
     tracker = _Budget(budget)
-    k = max(lower, 1)
+    k = max(clique_lower_bound(g, adj), 1)
     # an "unknown" leaves the tracker overspent, which ends the loop
     while k < upper and tracker.used < budget:
         status, wit = _decide_k(adj, k, tracker)

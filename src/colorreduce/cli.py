@@ -30,6 +30,8 @@ FAMILY_ALIASES = {
     "ntilde": nbhd.TYPED, "typed": nbhd.TYPED,
 }
 
+CAP_HELP = "bound on a build's projected vertex or tree count and on its edge count"
+
 
 def _config_dir(base, subcommand, args_dict):
     payload = json.dumps(args_dict, sort_keys=True).encode()
@@ -129,11 +131,7 @@ def cmd_build(args, parser):
     graph = _build_graph_from_flags(args, parser)
     out = _config_dir(args.out, "build", _arg_dict(args))
     _write_json(out / "graph.json", nbhd.graph_to_json(graph))
-    stats = graph.stats()
-    stats["clique_lower_bound"] = len(chromatic.greedy_clique(chromatic.as_adjacency(graph)))
-    planted = chromatic.embedded_clique(graph)
-    if planted is not None:
-        stats["clique_lower_bound"] = max(stats["clique_lower_bound"], len(planted))
+    stats = {**graph.stats(), "clique_lower_bound": chromatic.clique_lower_bound(graph)}
     _write_json(out / "stats.json", stats)
     print(json.dumps({**stats, "out": str(out)}, sort_keys=True))
     return 0
@@ -164,12 +162,14 @@ def cmd_chi(args, parser):
 def cmd_refute(args, parser):
     family = FAMILY_ALIASES[args.family]
     kind = MULTISET if args.variant == "multiset" else SET
-    with open(args.classes) as fh:
-        try:
+    try:
+        with open(args.classes) as fh:
             classes = [[view_from_json(v, kind if family == nbhd.LOCAL1 else SET) for v in cl]
                        for cl in json.load(fh)]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed classes file {args.classes}: {exc!r}") from exc
+    except OSError as exc:
+        raise ParameterError(f"cannot read classes file {args.classes}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed classes file {args.classes}: {exc!r}") from exc
     transcript = {"classes": [len(cl) for cl in classes]}
     if family == nbhd.LOCAL1:
         if args.defect > 0:
@@ -241,7 +241,7 @@ def _add_family_flags(sub):
                      help="max degree (nh1/nsl) or neighbor-set bound (nt/ntilde)")
     sub.add_argument("--r", type=int, default=1)
     sub.add_argument("--variant", choices=["set", "multiset"], default="multiset")
-    sub.add_argument("--cap", type=int, default=nbhd.DEFAULT_CAP)
+    sub.add_argument("--cap", type=int, default=nbhd.DEFAULT_CAP, help=CAP_HELP)
     sub.add_argument("--out", default=None)
 
 
@@ -284,7 +284,7 @@ def make_parser() -> argparse.ArgumentParser:
     hom.add_argument("--r", type=int, required=True)
     hom.add_argument("--m", type=int, required=True)
     hom.add_argument("--d", type=int, required=True)
-    hom.add_argument("--cap", type=int, default=nbhd.DEFAULT_CAP)
+    hom.add_argument("--cap", type=int, default=nbhd.DEFAULT_CAP, help=CAP_HELP)
     hom.add_argument("--out", default=None)
     hom.set_defaults(func=cmd_verify_hom)
 

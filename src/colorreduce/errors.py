@@ -43,8 +43,7 @@ class SimulationError(ColorReduceError):
 class ConstructionError(ColorReduceError):
     """An internal step that is guaranteed to succeed failed.
 
-    Raised by the refuters, the homomorphism builders, the setlocal
-    builder and the chromatic solver's witness check on states their
-    correctness arguments rule out; any occurrence is a bug, never an
-    expected runtime condition.
+    Raised by the refuters, the homomorphism builders and the chromatic
+    solver's witness check on states their correctness arguments rule
+    out; any occurrence is a bug, never an expected runtime condition.
     """

@@ -219,9 +219,11 @@ def assignment_to_json(phi: ColorAssignment) -> dict:
 
 
 def load_graph(path) -> ColoredGraph:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path} is not JSON: {exc}") from exc
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ParameterError(f"{path} is not UTF-8 JSON: {exc}") from exc
     return graph_from_json(data)

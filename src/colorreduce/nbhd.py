@@ -15,16 +15,27 @@ complete graph on the m colors:
             of the center: types(x) == {center(a) for a in A}.
 * setlocal: the views actually realizable in properly m-colored trees of
             max degree <= delta under set delivery, with edges between
-            views co-realizable at adjacent tree nodes; built by
-            enumerating bounded-depth rooted colored trees whose sibling
-            subtrees are pairwise distinct.  That loses nothing: under
-            set delivery a node cannot tell two identical sibling
+            views co-realizable at adjacent tree nodes; its vertices are
+            found by enumerating bounded-depth rooted colored trees whose
+            sibling subtrees are pairwise distinct.  That loses nothing:
+            under set delivery a node cannot tell two identical sibling
             subtrees from one, so merging them changes no surviving
             node's view, and every tree maps onto such a set-reduced
             tree with the same views.
 
+Co-realizability is the edge rule, so setlocal is wired like the others.
+Adjacent tree nodes u, v each have the other's (r-1)-view among their
+children.  Conversely, let U and V be realizable r-views with U.inner a
+child of V and V.inner a child of U.  Take a tree realizing U at u, where
+u has a neighbor w with (r-1)-view V.inner, and one realizing V at v,
+where v has a neighbor w' with (r-1)-view U.inner.  Cut off the branches
+of w and w' and join u to v.  Degrees and properness are kept, and by
+induction on k <= r every node keeps its k-view: set delivery sees only
+the set of neighbor views, and v's (k-1)-view is w's.
+
 The recursive families blow up exponentially; builders project their
-vertex count first and refuse to exceed an explicit cap.
+vertex count first and refuse to exceed an explicit cap, which also
+bounds the number of edges they wire.
 """
 
 from __future__ import annotations
@@ -93,7 +104,8 @@ def adjacent_positions(nodes):
     joined by the edge rule, found through an index of positions by
     center: a depth >= 1 member can only meet members centered on one of
     its children (which share its depth), and depth-0 members meet every
-    distinct leaf.  Duplicate entries pair up like any other positions."""
+    distinct leaf.  Duplicate entries pair up like any other positions.
+    Each ordered pair comes once, and (j, i) comes whenever (i, j) does."""
     leaves, by_center = [], {}
     for i, u in enumerate(nodes):
         if u.depth == 0:
@@ -175,20 +187,20 @@ class NbhdGraph:
         }
 
 
-def _finish(family, m, degree_param, level, variant, vertices, edges=None) -> NbhdGraph:
-    """Sort vertices canonically and wire edges: the given (View, View)
-    pairs if any, else the edge rule."""
+def _finish(family, m, degree_param, level, variant, vertices, cap) -> NbhdGraph:
+    """Sort vertices canonically and wire edges by the edge rule, raising
+    CapExceededError once more than `cap` edges are wired."""
     ordered = tuple(sorted(set(vertices), key=canonical_encode))
-    if edges is None:
-        pairs = adjacent_positions(ordered)
-    else:
-        index = {v: i for i, v in enumerate(ordered)}
-        pairs = ((index[u], index[v]) for u, v in edges)
-    nbrs = [set() for _ in ordered]
-    for i, j in pairs:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+    nbrs = [[] for _ in ordered]
+    # every edge arrives as two ordered pairs, so more than 2*cap + 1
+    # pairs means more than cap edges
+    limit, wired = 2 * cap + 1, 0
+    for i, j in adjacent_positions(ordered):
+        nbrs[i].append(j)
+        wired += 1
+        if wired > limit:
+            raise CapExceededError(wired // 2, cap, what="edges (at least)")
+    adjacency = tuple(tuple(sorted(js)) for js in nbrs)
     return NbhdGraph(family, m, degree_param, level, variant, ordered, adjacency)
 
 
@@ -225,7 +237,7 @@ def build_local1(m: int, delta: int, variant=MULTISET, cap: int = DEFAULT_CAP) -
         for k in range(delta + 1):
             for combo in chooser(others, k):
                 vertices.append(View.make(variant, leaves[x], combo))
-    return _finish(LOCAL1, m, delta, 1, variant, vertices)
+    return _finish(LOCAL1, m, delta, 1, variant, vertices, cap)
 
 
 def _expand_level(prev: NbhdGraph, bound: int, cap: int) -> NbhdGraph:
@@ -245,13 +257,13 @@ def _expand_level(prev: NbhdGraph, bound: int, cap: int) -> NbhdGraph:
                 if typed and centers_of(combo) != required:
                     continue
                 vertices.append(View.make(SET, x, combo))
-    return _finish(prev.family, prev.m, bound, prev.level + 1, SET, vertices)
+    return _finish(prev.family, prev.m, bound, prev.level + 1, SET, vertices, cap)
 
 
 def _build_levels(family: str, r: int, m: int, d: int, cap: int) -> list[NbhdGraph]:
     if r < 0 or m < 2 or d < 1:
         raise ParameterError("need r >= 0, m >= 2, d >= 1")
-    levels = [_finish(family, m, d, 0, SET, _clique_vertices(m, SET))]
+    levels = [_finish(family, m, d, 0, SET, _clique_vertices(m, SET), cap)]
     for _ in range(r):
         levels.append(_expand_level(levels[-1], d, cap))
     return levels
@@ -326,33 +338,31 @@ def _rooted_trees(m, delta, depth, budget, forbidden, memo):
 
 
 def build_setlocal(r: int, m: int, delta: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
-    """Realizable r-views and their co-realizable adjacencies.
+    """Realizable r-views, wired by the edge rule.
 
     Vertices come from all rooted trees of depth <= r (root degree <=
-    delta); edges from all pairs of depth <= r trees joined by a fresh
-    edge between their roots, so the joined tree has depth <= r+1.
-    Only set-reduced trees are enumerated (no two identical sibling
-    subtrees): under set delivery a node receives the set of its
+    delta).  Only set-reduced trees are enumerated (no two identical
+    sibling subtrees): under set delivery a node receives the set of its
     neighbors' messages, so a repeated identical subtree is invisible and
     merging it changes no remaining node's view.  The views come from a
     top-down recursion memoized for the duration of the call, with no
-    graph materialized.  Intended for r <= 2 at small (m, delta).
+    graph materialized.  Two realizable views are co-realizable at
+    adjacent tree nodes iff the edge rule joins them (see the module
+    docstring), so no pair of trees is ever joined.  The cap bounds the
+    enumerated trees and then the wired edges.
     """
     if r < 0 or m < 2 or delta < 1:
         raise ParameterError("need r >= 0, m >= 2, delta >= 1")
     if r == 0:
-        return _finish(SETLOCAL, m, delta, 0, SET, _clique_vertices(m, SET))
-    count_memo: dict = {}
-    n_vertex_trees = _tree_count(m, delta, r, delta, False, count_memo)
-    n_hang_trees = _tree_count(m, delta, r, delta - 1, False, count_memo)
-    projected = n_vertex_trees + n_hang_trees * n_hang_trees
+        return _finish(SETLOCAL, m, delta, 0, SET, _clique_vertices(m, SET), cap)
+    projected = _tree_count(m, delta, r, delta, False, {})
     if projected > cap:
         raise CapExceededError(projected, cap, what="enumerated trees")
 
     leaves = {c: View.leaf(SET, c) for c in range(1, m + 1)}
     view_memo: dict = {}
 
-    def hang(t, k, p):
+    def root_view(t, k, p):
         """k-view of the root of tree t whose parent's (k-1)-view is p
         (None for a root without parent)."""
         if k == 0:
@@ -361,29 +371,16 @@ def build_setlocal(r: int, m: int, delta: int, cap: int = DEFAULT_CAP) -> NbhdGr
         got = view_memo.get(key)
         if got is not None:
             return got
-        own = hang(t, k - 1, None if p is None else p.inner)
-        nbrs = [hang(c, k - 1, own.inner) for c in t[1]]
+        own = root_view(t, k - 1, None if p is None else p.inner)
+        nbrs = [root_view(c, k - 1, own.inner) for c in t[1]]
         if p is not None:
             nbrs.append(p)
         out = View.make(SET, own, nbrs)
         view_memo[key] = out
         return out
 
-    tree_memo: dict = {}
-    vertex_views = {hang(t, r, None) for t in _rooted_trees(m, delta, r, delta, None, tree_memo)}
-    edge_pairs = set()
-    hangs = _rooted_trees(m, delta, r, delta - 1, None, tree_memo)
-    for tu in hangs:
-        for tv in hangs:
-            if tu[0] == tv[0]:
-                continue
-            vu, vv = leaves[tu[0]], leaves[tv[0]]
-            for k in range(1, r + 1):
-                vu, vv = hang(tu, k, vv), hang(tv, k, vu)
-            if vu not in vertex_views or vv not in vertex_views:
-                raise ConstructionError("joined-tree view missing from vertex enumeration")
-            edge_pairs.add((vu, vv))
-    return _finish(SETLOCAL, m, delta, r, SET, vertex_views, edge_pairs)
+    trees = _rooted_trees(m, delta, r, delta, None, {})
+    return _finish(SETLOCAL, m, delta, r, SET, {root_view(t, r, None) for t in trees}, cap)
 
 
 # --- homomorphisms -------------------------------------------------------
@@ -416,24 +413,14 @@ class HomReport:
 def verify_homomorphism(hom: HomMap) -> HomReport:
     """List images outside the codomain and domain edges whose images are
     not codomain edges; the map is a homomorphism iff the report is ok."""
-    missing = []
+    dom, cod, image = hom.domain, hom.codomain, hom.mapping
+    missing = [v for v in dom.vertices if not cod.has_vertex(image[v])]
     broken = []
-    for v in hom.domain.vertices:
-        img = hom.mapping[v]
-        if not hom.codomain.has_vertex(img):
-            missing.append(v)
-    codomain_adj = {}
-    for i, j in hom.codomain.edges():
-        codomain_adj.setdefault(i, set()).add(j)
-        codomain_adj.setdefault(j, set()).add(i)
-    for i, j in hom.domain.edges():
-        u, v = hom.domain.vertices[i], hom.domain.vertices[j]
-        iu, iv = hom.mapping[u], hom.mapping[v]
-        if not (hom.codomain.has_vertex(iu) and hom.codomain.has_vertex(iv)):
-            broken.append((u, v))
-            continue
-        ku, kv = hom.codomain.vertex_index(iu), hom.codomain.vertex_index(iv)
-        if kv not in codomain_adj.get(ku, ()):
+    for i, j in dom.edges():
+        u, v = dom.vertices[i], dom.vertices[j]
+        iu, iv = image[u], image[v]
+        if not (cod.has_vertex(iu) and cod.has_vertex(iv)
+                and cod.vertex_index(iv) in cod.adjacency[cod.vertex_index(iu)]):
             broken.append((u, v))
     return HomReport(tuple(missing), tuple(broken))
 

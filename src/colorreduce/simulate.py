@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from types import MappingProxyType
 from typing import Any, Callable
 
 from .errors import ParameterError, SimulationError
@@ -246,17 +247,17 @@ def full_information_program(r: int) -> NodeProgram:
                        name=f"full-information[{r}]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrespondenceReport:
     """Outcome of checking that a program is a proper function of views."""
 
     rounds: int
     kind: str
-    nodes_checked: int = 0
-    edges_checked: int = 0
-    distinct_views: int = 0
-    determinism_violations: list = field(default_factory=list)
-    properness_violations: list = field(default_factory=list)
+    nodes_checked: int
+    edges_checked: int
+    distinct_views: int
+    determinism_violations: tuple
+    properness_violations: tuple
 
     @property
     def ok(self) -> bool:
@@ -270,7 +271,8 @@ def check_correspondence(prog: NodeProgram, r: int, m: int, delta: int,
     and (ii) outputs differ across every realized edge, i.e. the induced
     labeling of observed r-views is proper.  Violations are report
     content, not errors."""
-    report = CorrespondenceReport(rounds=r, kind=kind)
+    nodes_checked = edges_checked = 0
+    determinism, properness = [], []
     seen: dict[View, tuple[int, int, int]] = {}
     for g_idx, g in enumerate(instances):
         if g.m != m or g.delta_cap != delta:
@@ -284,26 +286,27 @@ def check_correspondence(prog: NodeProgram, r: int, m: int, delta: int,
         phi, _ = run(g, prog, kind=kind)
         node_views = extract_all_views(g, r, kind)
         for v in range(g.n):
-            report.nodes_checked += 1
+            nodes_checked += 1
             view = node_views[v]
             out = phi[v]
             prev = seen.get(view)
             if prev is None:
                 seen[view] = (out, g_idx, v)
             elif prev[0] != out:
-                report.determinism_violations.append({
+                determinism.append(MappingProxyType({
                     "view": view.digest.hex(),
-                    "first": {"instance": prev[1], "node": prev[2], "output": prev[0]},
-                    "second": {"instance": g_idx, "node": v, "output": out},
-                })
+                    "first": MappingProxyType(
+                        {"instance": prev[1], "node": prev[2], "output": prev[0]}),
+                    "second": MappingProxyType({"instance": g_idx, "node": v, "output": out}),
+                }))
         for u, v in g.edges():
-            report.edges_checked += 1
+            edges_checked += 1
             if phi[u] == phi[v]:
-                report.properness_violations.append({
+                properness.append(MappingProxyType({
                     "instance": g_idx,
-                    "edge": [u, v],
+                    "edge": (u, v),
                     "output": phi[u],
-                    "views": [node_views[u].digest.hex(), node_views[v].digest.hex()],
-                })
-    report.distinct_views = len(seen)
-    return report
+                    "views": (node_views[u].digest.hex(), node_views[v].digest.hex()),
+                }))
+    return CorrespondenceReport(r, kind, nodes_checked, edges_checked, len(seen),
+                                tuple(determinism), tuple(properness))

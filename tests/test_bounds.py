@@ -65,6 +65,15 @@ def test_orientation_rejects_dependent_class():
         orientation_of([node(MULTISET, 1, [2]), node(MULTISET, 2, [1])], 3)
 
 
+@pytest.mark.parametrize("member", [(50, [2]), (1, [9]), (8, [3, 2])])
+def test_member_colors_outside_palette_rejected(member):
+    cls = [node(MULTISET, 1, [2]), node(MULTISET, *member)]
+    with pytest.raises(ParameterError, match="outside"):
+        orientation_of(cls, 7)
+    with pytest.raises(ParameterError, match="outside"):
+        defective_sources(cls, 7, 1)
+
+
 # --- sources ----------------------------------------------------------------
 
 def test_sources_examples():

@@ -136,6 +136,7 @@ def _assert_one_error_line(code, capsys):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 def test_color_graph_with_out_of_range_endpoint_exits_1(tmp_path, capsys):
@@ -186,6 +187,34 @@ def test_refute_class_member_not_one_round_exits_1(member, flags, tmp_path, caps
     code = main(["refute", "--family", "nh1", *flags,
                  "--classes", str(classes_file), "--out", str(tmp_path)])
     _assert_one_error_line(code, capsys)
+
+
+def test_refute_member_color_outside_palette_exits_1(tmp_path, capsys):
+    classes_file = tmp_path / "classes.json"
+    classes_file.write_text(json.dumps([[{"inner": 50, "children": [[2, 1]]}]]))
+    code = main(["refute", "--family", "nh1", "--m", "7", "--d", "4",
+                 "--classes", str(classes_file), "--out", str(tmp_path / "run")])
+    _assert_one_error_line(code, capsys)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["refute", "--family", "nh1", "--m", "7", "--d", "4", "--classes", "missing.json"],
+    ["color", "--algo", "delta1", "--m", "3", "--delta", "1", "--graph", "missing.json"],
+    ["color", "--algo", "delta1", "--m", "3", "--delta", "1", "--graph", "latin1.json"],
+])
+def test_unreadable_input_file_exits_1(args, tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(b'{"n": 1, "edges": [], "psi": ["\xe9"]}')
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    code = main([*args, "--out", str(tmp_path / "run")])
+    _assert_one_error_line(code, capsys)
+
+
+def test_build_over_edge_cap_exits_1(tmp_path, capsys):
+    # local1(10,5) has 20,020 vertices, under the cap, but 23,005,125 edges
+    code = main(["build", "--family", "nh1", "--m", "10", "--d", "5",
+                 "--out", str(tmp_path / "run")])
+    assert "edges" in _assert_one_error_line(code, capsys)
 
 
 def test_verify_hom_subcommands(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Neighborhood graph families, accessors, and homomorphisms."""
 
+import math
 from dataclasses import FrozenInstanceError
 from itertools import combinations, combinations_with_replacement
 
@@ -230,14 +231,65 @@ def test_setlocal_reaches_2_4_3():
     assert (g.n_vertices, g.n_edges) == (1196, 26934)
 
 
+def oracle_setlocal_joined_trees(r, m, delta):
+    """Edges as the pairing of set-reduced hang trees (root degree <=
+    delta-1): join every two roots of different colors and read both
+    roots' r-views off the joined tree, memoized top-down."""
+    leaves = {c: leaf(SET, c) for c in range(1, m + 1)}
+    memo = {}
+
+    def hang(t, k, p):
+        if k == 0:
+            return leaves[t[0]]
+        if (t, k, p) not in memo:
+            own = hang(t, k - 1, None if p is None else p.inner)
+            nbrs = [hang(c, k - 1, own.inner) for c in t[1]]
+            memo[t, k, p] = View.make(SET, own, nbrs + ([] if p is None else [p]))
+        return memo[t, k, p]
+
+    hangs = _rooted_trees(m, delta, r, delta - 1, None, {})
+    edges = set()
+    for tu in hangs:
+        for tv in hangs:
+            if tu[0] != tv[0]:
+                vu, vv = leaves[tu[0]], leaves[tv[0]]
+                for k in range(1, r + 1):
+                    vu, vv = hang(tu, k, vv), hang(tv, k, vu)
+                edges.add(frozenset((vu, vv)))
+    return edges
+
+
+@pytest.mark.parametrize("r,m,delta", [(2, 4, 3), (2, 5, 2), (3, 3, 2), (3, 4, 2)])
+def test_setlocal_edges_match_joined_tree_oracle(r, m, delta):
+    built = build_setlocal(r, m, delta)
+    built_edges = {frozenset((built.vertices[i], built.vertices[j])) for i, j in built.edges()}
+    assert built_edges == oracle_setlocal_joined_trees(r, m, delta)
+
+
+@pytest.mark.parametrize("m,delta,n_edges", [(4, 3, 26934), (4, 4, 322944), (5, 3, 1436410)])
+def test_setlocal_two_rounds_vertex_closed_form(m, delta, n_edges):
+    """m * sum_{k<=delta} C(n1, k) realizable 2-views, where n1 =
+    (m-1) * sum_{j<=delta-1} C(m-2, j) counts the 1-views a neighbor of a
+    given color can show."""
+    n1 = (m - 1) * sum(math.comb(m - 2, j) for j in range(delta))
+    g = build_setlocal(2, m, delta)
+    assert g.n_vertices == m * sum(math.comb(n1, k) for k in range(delta + 1))
+    assert g.n_edges == n_edges
+
+
 def test_setlocal_cap_projects_enumerated_trees():
-    memo: dict = {}
-    n_vertex_trees = len(_rooted_trees(3, 3, 2, 3, None, memo))
-    n_hang_trees = len(_rooted_trees(3, 3, 2, 2, None, memo))
-    assert (n_vertex_trees, n_hang_trees) == (279, 111)
+    assert len(_rooted_trees(3, 3, 2, 3, None, {})) == 279
     with pytest.raises(CapExceededError) as err:
-        build_setlocal(2, 3, 3, cap=1000)
-    assert err.value.projected == n_vertex_trees + n_hang_trees ** 2
+        build_setlocal(2, 3, 3, cap=200)
+    assert err.value.projected == 279
+
+
+def test_edge_cap_bounds_wiring():
+    assert build_local1(5, 3, MULTISET).n_vertices == 175
+    with pytest.raises(CapExceededError) as err:
+        build_local1(5, 3, MULTISET, cap=200)
+    assert err.value.projected > 200
+    assert "edges" in str(err.value)
 
 
 def test_nbhd_graph_is_frozen():

@@ -1,7 +1,7 @@
 """Simulator: delivery semantics, determinism, view correspondence."""
 
 import io
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -190,8 +190,12 @@ def test_correspondence_flags_constant_program():
     )
     trees = [random_colored_tree(6, 3, 4, seed=1)]
     report = check_correspondence(prog, 1, 4, 3, trees)
-    assert not report.determinism_violations
-    assert report.properness_violations  # every edge is monochromatic
+    assert report.determinism_violations == ()
+    assert len(report.properness_violations) == 5  # every edge is monochromatic
+    with pytest.raises(FrozenInstanceError):
+        report.nodes_checked = 0
+    with pytest.raises(TypeError):
+        report.properness_violations[0]["output"] = 2
 
 
 # --- the color path against the general message path --------------------
