@@ -155,7 +155,9 @@ def random_colored_tree(n: int, delta_cap: int, m: int, seed: int) -> ColoredGra
 
     Each new node attaches to a uniformly random earlier node that still
     has degree capacity, which caps the degree without rejection sampling.
-    Identical arguments always produce the identical graph.
+    Identical arguments always produce the identical graph.  The earlier
+    nodes with capacity are kept as an ascending list updated per node;
+    every new node joins it, since its degree 1 is below delta_cap >= 2.
     """
     if m < 2:
         raise ParameterError("need m >= 2 to properly color any edge")
@@ -166,14 +168,16 @@ def random_colored_tree(n: int, delta_cap: int, m: int, seed: int) -> ColoredGra
     rng = random.Random(seed)
     parents = [-1] * n
     deg = [0] * n
+    candidates = [0]
     for v in range(1, n):
-        candidates = [u for u in range(v) if deg[u] < delta_cap]
-        if not candidates:
-            raise ParameterError("no attachment point with residual capacity")
-        p = candidates[rng.randrange(len(candidates))]
+        i = rng.randrange(len(candidates))
+        p = candidates[i]
         parents[v] = p
         deg[p] += 1
+        if deg[p] == delta_cap:
+            del candidates[i]
         deg[v] += 1
+        candidates.append(v)
     psi = [0] * n
     psi[0] = rng.randrange(1, m + 1)
     for v in range(1, n):

@@ -35,7 +35,7 @@ set or a multiset of messages.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from types import MappingProxyType
 from typing import Any, Callable
@@ -126,20 +126,12 @@ def _digest_state(state) -> str:
     return blake2b(raw, digest_size=16).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimTrace:
     """Per-round, per-node record of (state digest, sent, received)."""
 
     kind: str
-    rounds: list = field(default_factory=list)
-
-    def record(self, states, sent, received):
-        self.rounds.append(
-            tuple(
-                (_digest_state(states[v]), sent[v], tuple(sorted(received[v])))
-                for v in range(len(states))
-            )
-        )
+    rounds: tuple = ()
 
     def sent_at(self, round_index, node) -> bytes:
         """Message broadcast by `node` in 1-based round `round_index`."""
@@ -183,7 +175,7 @@ def run(g: ColoredGraph, prog: NodeProgram, kind=SET, trace: bool = False):
             states.append(prog.init(g.psi[v], g.m, g.delta_cap, n))
         except Exception as exc:  # noqa: BLE001 - context-wrapped
             raise SimulationError(v, 0, exc) from exc
-    sim_trace = SimTrace(kind) if trace else None
+    rows = []
     if budget > 0:
         empty = frozenset() if kind == SET else ()
         pending = [None] * n
@@ -204,14 +196,18 @@ def run(g: ColoredGraph, prog: NodeProgram, kind=SET, trace: bool = False):
                     states[v], pending[v] = prog.step(states[v], received[v])
                 except Exception as exc:  # noqa: BLE001
                     raise SimulationError(v, t, exc) from exc
-            if sim_trace is not None:
-                sim_trace.record(states, sent, received)
+            if trace:
+                rows.append(tuple(
+                    (_digest_state(states[v]), sent[v], tuple(sorted(received[v])))
+                    for v in range(n)
+                ))
     colors = []
     for v in range(n):
         try:
             colors.append(prog.finalize(states[v]))
         except Exception as exc:  # noqa: BLE001
             raise SimulationError(v, budget, exc) from exc
+    sim_trace = SimTrace(kind, tuple(rows)) if trace else None
     return ColorAssignment(tuple(colors), max(colors)), sim_trace
 
 

@@ -11,7 +11,10 @@ of views is not stable across runs; anything that must be reproducible
 orders views by digest or canonical encoding instead.  The exact
 canonical byte encoding is injective and decodable; it is materialized
 lazily and meant for desk-scale views (the interned digest serves deep
-ones).
+ones).  Every encoding materialized in this process is also a key of a
+table back to its view, so decoding those bytes is one lookup; other
+bytes are parsed and checked.  The table lives as long as the intern
+pool: both are process-global and never freed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ class View:
                  "child_lookup", "child_size", "digest", "_enc")
 
     _pool: dict = {}
+    _by_enc: dict = {}  # canonical encoding -> view, filled by canonical_encode
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use View.leaf(...) or View.make(...)")
@@ -128,14 +132,15 @@ def canonical_encode(view: View) -> bytes:
     if view.depth == 0:
         enc = kb + b"0(%d)" % view.base_color
     else:
-        parts = sorted(canonical_encode(c) for c, _ in view.children)
         if view.kind == SET:
-            body = b",".join(parts)
+            body = b",".join(sorted(canonical_encode(c) for c, _ in view.children))
         else:
-            by_enc = {canonical_encode(c): n for c, n in view.children}
-            body = b",".join(p + b"*%d" % by_enc[p] for p in parts)
+            # children are distinct views, so no two encodings tie
+            pairs = sorted((canonical_encode(c), n) for c, n in view.children)
+            body = b",".join(p + b"*%d" % n for p, n in pairs)
         enc = kb + b"%d(" % view.depth + canonical_encode(view.inner) + b";" + body + b")"
     object.__setattr__(view, "_enc", enc)
+    View._by_enc.setdefault(enc, view)
     return enc
 
 
@@ -192,11 +197,19 @@ class _Parser:
 
 
 def canonical_decode(data: bytes) -> View:
-    """Inverse of canonical_encode.  Any other bytes raise ValueError:
-    the parser is lenient, so the result is re-encoded and must give the
-    input back (wrong depths, leading zeros, unsorted or repeated
-    children, stray commas and trailing bytes all fail that check), and
-    input nested deeper than the recursive parser can follow fails too."""
+    """Inverse of canonical_encode.  Any other bytes raise ValueError.
+
+    Bytes that canonical_encode produced in this process are looked up;
+    only they are keys, and by injectivity and interning the hit is the
+    view the parser would build.  Other bytes are parsed.  The parser is
+    lenient, so the result is re-encoded and must give the input back
+    (wrong depths, leading zeros, unsorted or repeated children, stray
+    commas and trailing bytes all fail that check), and input nested
+    deeper than the recursive parser can follow fails too."""
+    # other bytes-like input is parsed, so its outcome never depends on the table
+    view = View._by_enc.get(data) if type(data) is bytes else None
+    if view is not None:
+        return view
     try:
         view = _Parser(data).parse_view()
     except RecursionError:

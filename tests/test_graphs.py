@@ -1,5 +1,7 @@
 """Graph core: validators, generators, greedy coloring, JSON wire format."""
 
+import random
+
 import pytest
 
 from colorreduce import (ColorAssignment, ColoredGraph, CoverageError,
@@ -93,6 +95,36 @@ def test_random_tree_structural_postconditions():
         assert g.n_edges() == g.n - 1  # tree
         assert g.max_degree() <= 3
         assert validate_proper(g, ColorAssignment(g.psi, g.m))
+
+
+def oracle_random_colored_tree(n, delta_cap, m, seed):
+    """The generator as first written: the candidate list rebuilt per node."""
+    rng = random.Random(seed)
+    parents, deg = [-1] * n, [0] * n
+    for v in range(1, n):
+        candidates = [u for u in range(v) if deg[u] < delta_cap]
+        p = candidates[rng.randrange(len(candidates))]
+        parents[v] = p
+        deg[p] += 1
+        deg[v] += 1
+    psi = [0] * n
+    psi[0] = rng.randrange(1, m + 1)
+    for v in range(1, n):
+        c = rng.randrange(1, m)
+        if c >= psi[parents[v]]:
+            c += 1
+        psi[v] = c
+    return ColoredGraph.from_edges(n, [(parents[v], v) for v in range(1, n)], psi, m,
+                                   delta_cap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 24, 300])
+def test_random_tree_matches_rebuilt_candidate_oracle(n):
+    for delta_cap in (2, 3, 4, 8):
+        for seed in range(5):
+            g = random_colored_tree(n, delta_cap, 7, seed)
+            want = oracle_random_colored_tree(n, delta_cap, 7, seed)
+            assert g.psi == want.psi and g.adjacency == want.adjacency
 
 
 def test_random_tree_infeasible_parameters():

@@ -48,7 +48,7 @@ def test_zero_round_program_outputs_psi():
     g = random_colored_tree(10, 3, 6, seed=4)
     phi, trace = run(g, zero_round_identity(), SET, trace=True)
     assert phi.colors == g.psi
-    assert trace.rounds == []  # rounds recorded == round budget == 0
+    assert trace.rounds == ()  # rounds recorded == round budget == 0
 
 
 def test_delivery_semantics_on_star():
@@ -72,6 +72,17 @@ def test_trace_rounds_equal_budget_and_determinism():
     t1.to_jsonl(buf1)
     t2.to_jsonl(buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def test_trace_is_immutable():
+    g = random_colored_tree(6, 3, 5, seed=2)
+    _, trace = run(g, full_information_program(2), MULTISET, trace=True)
+    with pytest.raises(FrozenInstanceError):
+        trace.rounds = ()
+    with pytest.raises(FrozenInstanceError):
+        trace.kind = SET
+    assert isinstance(trace.rounds, tuple)
+    assert all(isinstance(row, tuple) for row in trace.rounds)
 
 
 def test_full_information_state_decodes_to_view():

@@ -1,17 +1,20 @@
 """View engine: extraction, canonical encoding, truncation, erasure."""
 
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorreduce import (MULTISET, SET, ColoredGraph, View, canonical_decode,
-                         canonical_encode, erase_multiplicities, extract_view,
-                         random_colored_tree, truncate, view_from_json,
-                         view_to_json)
+                         canonical_encode, erase_multiplicities,
+                         extract_all_views, extract_view, random_colored_tree,
+                         truncate, view_from_json, view_to_json, views)
 
 
 def path3():
@@ -74,15 +77,103 @@ def test_encode_decode_roundtrip_random():
         assert canonical_decode(canonical_encode(v)) is v
 
 
-@pytest.mark.parametrize("data", [
-    b"M1(M0(1);M0(2)*0)",  # zero multiplicity
-    b"S0(01)",  # leading zero
-    b"S1(S0(1);S0(3),S0(2))",  # unsorted children
-    b"S1(S0(1);S0(2),)",  # trailing comma
-])
+# non-canonical bytes -> the canonical encoding of the view they spell
+NON_CANONICAL = {
+    b"M1(M0(1);M0(2)*0)": b"M1(M0(1);M0(2)*1)",  # zero multiplicity
+    b"S0(01)": b"S0(1)",  # leading zero
+    b"S1(S0(1);S0(3),S0(2))": b"S1(S0(1);S0(2),S0(3))",  # unsorted children
+    b"S1(S0(1);S0(2),)": b"S1(S0(1);S0(2))",  # trailing comma
+}
+
+
+@pytest.mark.parametrize("data", list(NON_CANONICAL))
 def test_decode_rejects_non_canonical_encodings(data):
     with pytest.raises(ValueError):
         canonical_decode(data)
+
+
+@pytest.mark.parametrize("data, canonical", list(NON_CANONICAL.items()))
+def test_decode_rejects_non_canonical_after_canonical_form_is_encoded(data, canonical):
+    view = canonical_decode(canonical)
+    assert canonical_encode(view) == canonical
+    with pytest.raises(ValueError):
+        canonical_decode(data)
+    assert canonical_decode(canonical) is view
+
+
+def test_decode_of_in_process_encodings_skips_the_parser(monkeypatch):
+    g = random_colored_tree(9, 3, 5, seed=11)
+    encoded = [(v, canonical_encode(v)) for kind in (SET, MULTISET)
+               for r in range(4) for v in extract_all_views(g, r, kind)]
+
+    def no_parse(data):
+        raise AssertionError(f"parsed {data!r}")
+
+    monkeypatch.setattr(views, "_Parser", no_parse)
+    for v, enc in encoded:
+        assert canonical_decode(enc) is v
+        assert canonical_decode(bytes(bytearray(enc))) is v  # equal, not identical
+    with pytest.raises(AssertionError):
+        canonical_decode(b"S0(01)")  # a miss still reaches the parser
+
+
+def test_decode_accepts_canonical_bytes_in_a_bytearray():
+    v = extract_view(star3(), 0, 2, MULTISET)
+    enc = canonical_encode(v)
+    assert canonical_decode(bytearray(enc)) is v  # parsed, not looked up
+    with pytest.raises(ValueError):
+        canonical_decode(bytearray(b"S0(01)"))
+
+
+def test_decode_gives_one_object_per_encoding_across_threads():
+    n_threads, n_msgs = 8, 200
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(10):
+            base = 2 * 10**12 + trial * 10**4  # colors no other test interns
+            msgs = [b"S1(S0(%d);S0(%d))" % (base + i, base + i + 1) for i in range(n_msgs)]
+            barrier = threading.Barrier(n_threads)
+            results = [None] * n_threads
+
+            def decode(slot):
+                barrier.wait(timeout=10)
+                results[slot] = [canonical_decode(msg) for msg in msgs]
+
+            threads = [threading.Thread(target=decode, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            first = results[0]
+            assert [canonical_encode(v) for v in first] == msgs
+            for decoded in results[1:]:
+                for a, b in zip(first, decoded, strict=True):
+                    assert a is b
+            assert all(canonical_decode(msg) is v for msg, v in zip(msgs, first))
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_decode_rejects_non_canonical_under_optimize():
+    script = (
+        "import sys\n"
+        "from colorreduce import canonical_decode, canonical_encode, View, SET\n"
+        "canonical_encode(View.leaf(SET, 1))\n"
+        "for bad in (b'S0(01)', b'S1(S0(1);S0(2),)', b'S0(1)x'):\n"
+        "    try:\n"
+        "        canonical_decode(bad)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    sys.exit(f'accepted {bad!r}')\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = str(Path(views.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_decode_rejects_deep_nesting_with_value_error():
@@ -108,14 +199,13 @@ def _encodings():
 
 ENCODINGS = _encodings()
 MUTATION_BYTES = [bytes([b]) for b in b"SM0123456789();,*"]
-
-
-@settings(max_examples=1000, derandomize=True, deadline=None)
-@given(st.sampled_from(ENCODINGS), st.lists(
+MUTATIONS = st.lists(
     st.tuples(st.sampled_from(["insert", "delete", "replace"]),
               st.floats(0, 1, exclude_max=True), st.sampled_from(MUTATION_BYTES)),
-    min_size=1, max_size=3))
-def test_mutated_encodings_decode_canonically_or_raise(data, mutations):
+    min_size=1, max_size=3)
+
+
+def _mutate(data, mutations):
     for op, where, byte in mutations:
         at = int(where * (len(data) + (op == "insert")))
         if op == "insert":
@@ -124,11 +214,33 @@ def test_mutated_encodings_decode_canonically_or_raise(data, mutations):
             data = data[:at] + data[at + 1:]
         else:
             data = data[:at] + byte + data[at + 1:]
+    return data
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.sampled_from(ENCODINGS), MUTATIONS)
+def test_mutated_encodings_decode_canonically_or_raise(data, mutations):
+    data = _mutate(data, mutations)
     try:
         view = canonical_decode(data)
     except ValueError:
         return
     assert canonical_encode(view) == data
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.sampled_from(ENCODINGS), MUTATIONS)
+def test_mutated_encodings_raise_after_their_canonical_form_is_encoded(data, mutations):
+    data = _mutate(data, mutations)
+    try:
+        spelled = views._Parser(data).parse_view()  # lenient: the view data spells
+    except ValueError:
+        spelled = None
+    if spelled is not None and canonical_encode(spelled) == data:
+        assert canonical_decode(data) is spelled
+    else:
+        with pytest.raises(ValueError):
+            canonical_decode(data)
 
 
 def test_truncate_examples():
