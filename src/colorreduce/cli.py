@@ -30,7 +30,7 @@ FAMILY_ALIASES = {
     "ntilde": nbhd.TYPED, "typed": nbhd.TYPED,
 }
 
-CAP_HELP = "bound on a build's projected vertex or tree count and on its edge count"
+CAP_HELP = "bound on a build's projected vertex count and on its edge count"
 
 
 def _config_dir(base, subcommand, args_dict):

@@ -13,15 +13,24 @@ complete graph on the m colors:
             with |A| <= D, no further restriction.
 * typed:    additionally requires the neighbor set to realize every type
             of the center: types(x) == {center(a) for a in A}.
-* setlocal: the views actually realizable in properly m-colored trees of
-            max degree <= delta under set delivery, with edges between
-            views co-realizable at adjacent tree nodes; its vertices are
-            found by enumerating bounded-depth rooted colored trees whose
-            sibling subtrees are pairwise distinct.  That loses nothing:
-            under set delivery a node cannot tell two identical sibling
-            subtrees from one, so merging them changes no surviving
-            node's view, and every tree maps onto such a set-reduced
-            tree with the same views.
+* setlocal: the views actually realizable in properly m-colored trees
+            of max degree <= delta under set delivery, with edges between
+            views co-realizable at adjacent tree nodes; built like typed
+            with bound delta, except that level 1 keeps every A,
+            the empty one included.
+
+The typed filter is exact for setlocal from level 2 on.  Necessity: at
+a tree node u with (i+1)-view (x, A), each a in A is the i-view of a
+neighbor w of u, and its center, w's (i-1)-view, is one of the children
+of x, which are exactly the (i-1)-views of u's neighbors; so
+types(x) == {center(a) for a in A}.  Sufficiency: for each a in A take a
+tree realizing a at a node w_a; its neighbor showing x.inner exists
+because a is adjacent to x.  Cut off that neighbor's branch, then join
+every w_a to one new node u of x's color.  u has |A| <= delta
+neighbors, and by induction on k <= i, u's k-view is x's truncation
+(the centers of A are the children of x) while every other node keeps
+its k-view (u shows what the cut neighbor showed), so u's (i+1)-view is
+(x, A).  Level 1 needs no filter: a star realizes any (x, A).
 
 Co-realizability is the edge rule, so setlocal is wired like the others.
 Adjacent tree nodes u, v each have the other's (r-1)-view among their
@@ -247,14 +256,16 @@ def _expand_level(prev: NbhdGraph, bound: int, cap: int) -> NbhdGraph:
     if projected > cap:
         raise CapExceededError(projected, cap,
                                what=f"level-{prev.level + 1} vertices (upper bound)")
-    typed = prev.family == TYPED
+    # setlocal's level 1 keeps every A, as a star realizes it; above
+    # level 1 the filter is exact for setlocal too
+    filtered = prev.family == TYPED or (prev.family == SETLOCAL and prev.level >= 1)
     vertices = []
     for i, x in enumerate(prev.vertices):
         nbr_views = [prev.vertices[j] for j in prev.adjacency[i]]
-        required = types(x) if typed else None
+        required = types(x) if filtered else None
         for k in range(min(bound, len(nbr_views)) + 1):
             for combo in combinations(nbr_views, k):
-                if typed and centers_of(combo) != required:
+                if filtered and centers_of(combo) != required:
                     continue
                 vertices.append(View.make(SET, x, combo))
     return _finish(prev.family, prev.m, bound, prev.level + 1, SET, vertices, cap)
@@ -292,95 +303,20 @@ def build_typed(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
     return build_typed_levels(r, m, d, cap)[-1]
 
 
-# --- setlocal: enumeration of set-reduced bounded-depth colored trees ----
-
-def _tree_count(m, delta, depth, budget, forbidden, memo):
-    """Number of canonical rooted colored trees the enumerator will emit."""
-    key = (depth, budget, forbidden)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    colors = m - (1 if forbidden else 0)
-    if depth == 0:
-        total = colors
-    else:
-        per_color_options = _tree_count(m, delta, depth - 1, delta - 1, True, memo)
-        total = colors * _subset_count(per_color_options, budget)
-    memo[key] = total
-    return total
-
-
-def _rooted_trees(m, delta, depth, budget, forbidden, memo):
-    """All set-reduced rooted colored trees as nested (color, (children...))
-    tuples: no node has two identical child subtrees.
-
-    depth bounds the distance from the root, budget the root's child
-    count; non-root nodes keep one degree slot for their parent.  The
-    forbidden color (the parent's) keeps colorings proper.
-    """
-    key = (depth, budget, forbidden)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    colors = [c for c in range(1, m + 1) if c != forbidden]
-    out = []
-    if depth == 0:
-        out = [(c, ()) for c in colors]
-    else:
-        for c in colors:
-            subtrees = _rooted_trees(m, delta, depth - 1, delta - 1, c, memo)
-            for k in range(budget + 1):
-                for combo in combinations(subtrees, k):
-                    out.append((c, combo))
-    out = tuple(out)
-    memo[key] = out
-    return out
-
-
 def build_setlocal(r: int, m: int, delta: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
-    """Realizable r-views, wired by the edge rule.
+    """Realizable r-views, wired by the edge rule, built level by level.
 
-    Vertices come from all rooted trees of depth <= r (root degree <=
-    delta).  Only set-reduced trees are enumerated (no two identical
-    sibling subtrees): under set delivery a node receives the set of its
-    neighbors' messages, so a repeated identical subtree is invisible and
-    merging it changes no remaining node's view.  The views come from a
-    top-down recursion memoized for the duration of the call, with no
-    graph materialized.  Two realizable views are co-realizable at
-    adjacent tree nodes iff the edge rule joins them (see the module
-    docstring), so no pair of trees is ever joined.  The cap bounds the
-    enumerated trees and then the wired edges.
+    Level 1 holds every (x, A) with |A| <= delta; level i+1 >= 2 keeps
+    the (x, A) over level-i neighbors of x whose centers are exactly the
+    children of x, the filter typed uses.  A node's neighbors' i-views have its
+    neighbors' (i-1)-views as centers, and conversely one realizing tree
+    per a in A, cut at the neighbor showing x.inner and glued at a new
+    root, realizes (x, A) (see the module docstring).  Two realizable
+    views are co-realizable at adjacent tree nodes iff the edge rule
+    joins them.  The cap bounds each level's projected vertices, before
+    the filter, and then the wired edges.
     """
-    if r < 0 or m < 2 or delta < 1:
-        raise ParameterError("need r >= 0, m >= 2, delta >= 1")
-    if r == 0:
-        return _finish(SETLOCAL, m, delta, 0, SET, _clique_vertices(m, SET), cap)
-    projected = _tree_count(m, delta, r, delta, False, {})
-    if projected > cap:
-        raise CapExceededError(projected, cap, what="enumerated trees")
-
-    leaves = {c: View.leaf(SET, c) for c in range(1, m + 1)}
-    view_memo: dict = {}
-
-    def root_view(t, k, p):
-        """k-view of the root of tree t whose parent's (k-1)-view is p
-        (None for a root without parent)."""
-        if k == 0:
-            return leaves[t[0]]
-        key = (t, k, p)
-        got = view_memo.get(key)
-        if got is not None:
-            return got
-        own = root_view(t, k - 1, None if p is None else p.inner)
-        nbrs = [root_view(c, k - 1, own.inner) for c in t[1]]
-        if p is not None:
-            nbrs.append(p)
-        out = View.make(SET, own, nbrs)
-        view_memo[key] = out
-        return out
-
-    trees = _rooted_trees(m, delta, r, delta, None, {})
-    return _finish(SETLOCAL, m, delta, r, SET, {root_view(t, r, None) for t in trees}, cap)
+    return _build_levels(SETLOCAL, r, m, delta, cap)[-1]
 
 
 # --- homomorphisms -------------------------------------------------------
@@ -429,8 +365,12 @@ def typed_to_setlocal_hom(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> Hom
     """Map the typed family into the realizable-view graph; verified
     before returning.
 
-    Both families hold interned SET views, and every typed vertex is
-    itself a realizable view, so the map is the inclusion v -> v.
+    Both families hold interned SET views and share level 0.  Typed
+    level 1 is setlocal level 1 without the empty A, and above it both
+    keep the (x, A) over level-i neighbors with centers(A) == types(x)
+    (with bounds d and delta = d) and wire by the edge rule, so by
+    induction on the level every typed vertex is a setlocal vertex, and
+    the map is the inclusion v -> v.
     """
     domain = build_typed(r, m, d, cap)
     codomain = build_setlocal(r, m, d, cap)

@@ -206,10 +206,14 @@ def canonical_decode(data: bytes) -> View:
     (wrong depths, leading zeros, unsorted or repeated children, stray
     commas and trailing bytes all fail that check), and input nested
     deeper than the recursive parser can follow fails too."""
-    # other bytes-like input is parsed, so its outcome never depends on the table
-    view = View._by_enc.get(data) if type(data) is bytes else None
-    if view is not None:
-        return view
+    if type(data) is bytes:
+        view = View._by_enc.get(data)
+        if view is not None:
+            return view
+    else:
+        # other bytes-like input is copied and parsed, so its outcome
+        # never depends on the table
+        data = bytes(memoryview(data))
     try:
         view = _Parser(data).parse_view()
     except RecursionError:

@@ -13,7 +13,6 @@ from colorreduce import (BOTTOM, CapExceededError, ColoredGraph, HomMap,
                          chi_exact, extract_all_views, mutual_edge,
                          relaxed_to_typed_hom, typed_to_setlocal_hom, types,
                          verify_homomorphism)
-from colorreduce.nbhd import _rooted_trees
 
 
 def leaf(kind, c):
@@ -226,17 +225,51 @@ def test_setlocal_matches_brute_force_oracle(r, m, delta):
     assert [list(nbrs) for nbrs in built.adjacency] == adjacency
 
 
-def test_setlocal_reaches_2_4_3():
-    g = build_setlocal(2, 4, 3)
-    assert (g.n_vertices, g.n_edges) == (1196, 26934)
+@pytest.mark.parametrize("r,m,delta,n_vertices,n_edges", [
+    (2, 4, 3, 1196, 26934),
+    (3, 3, 3, 1410, 25392),
+    (4, 3, 2, 411, 768),
+    (4, 4, 2, 13288, 39366),
+])
+def test_setlocal_reaches_2_4_3(r, m, delta, n_vertices, n_edges):
+    g = build_setlocal(r, m, delta)
+    assert (g.n_vertices, g.n_edges) == (n_vertices, n_edges)
+
+
+def oracle_rooted_trees(m, delta, depth, budget, forbidden, memo):
+    """All set-reduced rooted colored trees as nested (color, (children...))
+    tuples: no node has two identical child subtrees.
+
+    depth bounds the distance from the root, budget the root's child
+    count; non-root nodes keep one degree slot for their parent.  The
+    forbidden color (the parent's) keeps colorings proper.
+    """
+    key = (depth, budget, forbidden)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    colors = [c for c in range(1, m + 1) if c != forbidden]
+    out = []
+    if depth == 0:
+        out = [(c, ()) for c in colors]
+    else:
+        for c in colors:
+            subtrees = oracle_rooted_trees(m, delta, depth - 1, delta - 1, c, memo)
+            for k in range(budget + 1):
+                for combo in combinations(subtrees, k):
+                    out.append((c, combo))
+    out = tuple(out)
+    memo[key] = out
+    return out
 
 
 def oracle_setlocal_joined_trees(r, m, delta):
-    """Edges as the pairing of set-reduced hang trees (root degree <=
-    delta-1): join every two roots of different colors and read both
+    """Vertices as the root r-views of set-reduced trees (root degree <=
+    delta), edges as the pairing of set-reduced hang trees (root degree
+    <= delta-1): join every two roots of different colors and read both
     roots' r-views off the joined tree, memoized top-down."""
     leaves = {c: leaf(SET, c) for c in range(1, m + 1)}
-    memo = {}
+    memo, tree_memo = {}, {}
 
     def hang(t, k, p):
         if k == 0:
@@ -247,7 +280,9 @@ def oracle_setlocal_joined_trees(r, m, delta):
             memo[t, k, p] = View.make(SET, own, nbrs + ([] if p is None else [p]))
         return memo[t, k, p]
 
-    hangs = _rooted_trees(m, delta, r, delta - 1, None, {})
+    roots = oracle_rooted_trees(m, delta, r, delta, None, tree_memo)
+    vertices = {hang(t, r, None) for t in roots}
+    hangs = oracle_rooted_trees(m, delta, r, delta - 1, None, tree_memo)
     edges = set()
     for tu in hangs:
         for tv in hangs:
@@ -256,14 +291,16 @@ def oracle_setlocal_joined_trees(r, m, delta):
                 for k in range(1, r + 1):
                     vu, vv = hang(tu, k, vv), hang(tv, k, vu)
                 edges.add(frozenset((vu, vv)))
-    return edges
+    return vertices, edges
 
 
 @pytest.mark.parametrize("r,m,delta", [(2, 4, 3), (2, 5, 2), (3, 3, 2), (3, 4, 2)])
 def test_setlocal_edges_match_joined_tree_oracle(r, m, delta):
     built = build_setlocal(r, m, delta)
+    vertices, edges = oracle_setlocal_joined_trees(r, m, delta)
+    assert set(built.vertices) == vertices
     built_edges = {frozenset((built.vertices[i], built.vertices[j])) for i, j in built.edges()}
-    assert built_edges == oracle_setlocal_joined_trees(r, m, delta)
+    assert built_edges == edges
 
 
 @pytest.mark.parametrize("m,delta,n_edges", [(4, 3, 26934), (4, 4, 322944), (5, 3, 1436410)])
@@ -277,11 +314,14 @@ def test_setlocal_two_rounds_vertex_closed_form(m, delta, n_edges):
     assert g.n_edges == n_edges
 
 
-def test_setlocal_cap_projects_enumerated_trees():
-    assert len(_rooted_trees(3, 3, 2, 3, None, {})) == 279
+def test_setlocal_cap_projects_level_vertices():
+    # the 12 level-1 vertices have 0, 2 or 4 neighbors (3, 6 and 3 of
+    # them); the bound counts every subset of at most 3 neighbors,
+    # before the type filter: 3*1 + 6*4 + 3*15
     with pytest.raises(CapExceededError) as err:
-        build_setlocal(2, 3, 3, cap=200)
-    assert err.value.projected == 279
+        build_setlocal(2, 3, 3, cap=50)
+    assert err.value.projected == 72
+    assert "level-2 vertices" in str(err.value)
 
 
 def test_edge_cap_bounds_wiring():
@@ -338,7 +378,7 @@ def test_hom_h_level1_bijection_onto_nonempty():
     assert image == nonempty
 
 
-@pytest.mark.parametrize("r,m,d", [(1, 3, 2), (1, 4, 2), (2, 3, 2)])
+@pytest.mark.parametrize("r,m,d", [(1, 3, 2), (1, 4, 2), (2, 3, 2), (2, 4, 3), (3, 3, 2)])
 def test_hom_h_verified(r, m, d):
     hom = typed_to_setlocal_hom(r, m, d)
     report = verify_homomorphism(hom)

@@ -125,6 +125,14 @@ def test_decode_accepts_canonical_bytes_in_a_bytearray():
         canonical_decode(bytearray(b"S0(01)"))
 
 
+def test_decode_accepts_canonical_bytes_in_a_memoryview():
+    v = extract_view(star3(), 0, 2, MULTISET)
+    assert canonical_decode(memoryview(canonical_encode(v))) is v
+    assert canonical_decode(memoryview(b"S0(1)")) is View.leaf(SET, 1)
+    with pytest.raises(ValueError):
+        canonical_decode(memoryview(b"S0(01)"))
+
+
 def test_decode_gives_one_object_per_encoding_across_threads():
     n_threads, n_msgs = 8, 200
     old_interval = sys.getswitchinterval()
