@@ -5,18 +5,21 @@ anything larger should go through the DIMACS export and an external
 solver.  Budgets are counted in node expansions (color assignments
 tried) rather than wall time, so identical calls give identical results.
 
-The search keeps, per vertex, a count of colored neighbors per color,
-and buckets the uncolored vertices by saturation (DSATUR, Brelaz 1979).
-An expansion or its undo therefore costs O(deg) plus one scan of the top
-bucket, with no rescan of neighborhoods.  The branching order, and with
-it every expansion count, witness and budget outcome, is that of the
-plain saturation-greedy scan.
+The search relabels vertices by static rank (degree descending, then
+index) and works on int bitmasks over ranks: one neighborhood mask per
+vertex, one mask per color of the ranks it saturates, and one mask per
+saturation level of the uncolored ranks (DSATUR, Brelaz 1979).  An
+expansion or its undo costs a few big-int ANDs per saturation level, not
+a walk over the vertex's neighbors; the masks take n*n/8 bytes.  The
+branching order, and with it every expansion count, witness and budget
+outcome, is that of the plain saturation-greedy scan.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConstructionError, ParameterError
 from .graphs import ColoredGraph
@@ -43,17 +46,55 @@ class ChiResult:
             raise ParameterError("lower bound above upper bound")
 
 
+class _RankSpace:
+    """A graph's static DSATUR rank: degree descending, then index.
+
+    order[r] is the vertex of rank r and rank[v] the rank of vertex v.
+    masks[r] holds the ranks of r's neighbors as the bits of one int; it
+    is built on first use and takes n*n/8 bytes.  chi_exact builds one
+    rank space and shares it with its greedy clique, its saturation-greedy
+    coloring and every k-search.
+    """
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+        self.rank = [0] * len(adj)
+        for r, v in enumerate(self.order):
+            self.rank[v] = r
+
+    @cached_property
+    def masks(self) -> list[int]:
+        # one byte update per edge end and one conversion per row; summing
+        # powers of two would copy the growing int once per neighbor
+        byte = [r >> 3 for r in self.rank]
+        bit = [1 << (r & 7) for r in self.rank]
+        zeros = bytes((len(self.rank) + 7) // 8)
+        masks = []
+        for v in self.order:
+            row = bytearray(zeros)
+            for u in self.adj[v]:
+                row[byte[u]] |= bit[u]
+            masks.append(int.from_bytes(row, "little"))
+        return masks
+
+
 def greedy_clique(adj: list[set[int]]) -> list[int]:
     """Best clique over greedy growth from every seed vertex."""
-    n = len(adj)
-    degree = [len(s) for s in adj]
-    order_key = lambda v: (-degree[v], v)
+    return _greedy_clique(_RankSpace(adj))
+
+
+def _greedy_clique(space: _RankSpace) -> list[int]:
+    # seeds in rank order, and each step adds the lowest-ranked candidate,
+    # the largest (degree, -index); keyed by rank on the original sets,
+    # because relabelling every set costs more than the greedy growth
+    adj, by_rank = space.adj, space.rank.__getitem__
     best: list[int] = []
-    for seed in sorted(range(n), key=order_key):
+    for seed in space.order:
         clique = [seed]
         candidates = set(adj[seed])
         while candidates:
-            v = min(candidates, key=order_key)
+            v = min(candidates, key=by_rank)
             clique.append(v)
             candidates &= adj[v]
         if len(clique) > len(best):
@@ -81,7 +122,11 @@ def embedded_clique(graph: NbhdGraph) -> list[int] | None:
 def clique_lower_bound(g, adj=None) -> int:
     """Size of the greedy clique, raised to the planted clique of a
     level-1 neighborhood graph when that is larger."""
-    lower = len(greedy_clique(as_adjacency(g) if adj is None else adj))
+    return _clique_bound(g, _RankSpace(as_adjacency(g) if adj is None else adj))
+
+
+def _clique_bound(g, space: _RankSpace) -> int:
+    lower = len(_greedy_clique(space))
     planted = embedded_clique(g) if isinstance(g, NbhdGraph) else None
     return lower if planted is None else max(lower, len(planted))
 
@@ -115,93 +160,87 @@ class _Budget:
         return self.used <= self.limit
 
 
-def _search_k_coloring(adj, k: int, budget: _Budget):
+def _search_k_coloring(adj, k: int, budget: _Budget, space: _RankSpace | None = None):
     """Iterative DSATUR-ordered backtracking; returns (status, colors).
 
-    counts[v] maps each color to the number of v's neighbors holding it,
-    so v's saturation is len(counts[v]) and an assignment or its undo
-    costs O(deg).  Uncolored vertices sit in buckets[saturation] by their
-    static rank (degree descending, then index), and the branching vertex
-    is the lowest rank in the top non-empty bucket: the largest
-    (saturation, degree, -index).
+    The search runs in rank space (see _RankSpace) on int bitmasks.
+    covered[c] holds the ranks with a neighbor colored c, so a rank's
+    saturation is the number of colors whose mask holds its bit, and an
+    assignment or its undo costs one AND per saturation level instead of
+    a walk over the neighbors.  Uncolored ranks sit in buckets[saturation], and the
+    branching vertex is the lowest rank in the top non-empty bucket: the
+    largest (saturation, degree, -index).
     """
-    n = len(adj)
-    colors = [0] * n
-    counts = [{} for _ in range(n)]
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    rank = [0] * n
-    for r, v in enumerate(order):
-        rank[v] = r
-    buckets = [set(range(n))]
+    space = _RankSpace(adj) if space is None else space
+    nbr = space.masks
+    n = len(nbr)
+    covered = [0] * (k + 1)
+    buckets = [0] * (k + 1)
+    buckets[0] = (1 << n) - 1
 
-    def pick():
-        for bucket in reversed(buckets):
+    def pick(top):
+        # no uncolored rank has a saturation above the colors in use
+        for sat in range(top, -1, -1):
+            bucket = buckets[sat]
             if bucket:
-                return order[min(bucket)]
+                return (bucket & -bucket).bit_length() - 1, sat
 
-    def assign(v, c):
-        colors[v] = c
-        buckets[len(counts[v])].remove(rank[v])
-        for u in adj[v]:
-            seen = counts[u]
-            if c in seen:
-                seen[c] += 1
-                continue
-            seen[c] = 1
-            if not colors[u]:
-                sat = len(seen)
-                if sat == len(buckets):
-                    buckets.append(set())
-                buckets[sat - 1].remove(rank[u])
-                buckets[sat].add(rank[u])
+    def assign(r, c, sat, top):
+        """Color rank r with c; returns the ranks that c newly saturates."""
+        buckets[sat] ^= 1 << r
+        gain = nbr[r] & ~covered[c]
+        # top down, so a rank moves up one level once
+        for level in range(top, -1, -1):
+            moved = buckets[level] & gain
+            if moved:
+                buckets[level] ^= moved
+                buckets[level + 1] |= moved
+        covered[c] |= gain
+        return gain
 
-    def unassign(v, c):
-        colors[v] = 0
-        for u in adj[v]:
-            seen = counts[u]
-            if seen[c] > 1:
-                seen[c] -= 1
-                continue
-            del seen[c]
-            if not colors[u]:
-                sat = len(seen)
-                buckets[sat + 1].remove(rank[u])
-                buckets[sat].add(rank[u])
-        buckets[len(counts[v])].add(rank[v])
+    def unassign(r, c, sat, gain, top):
+        covered[c] ^= gain
+        # bottom up, so a rank moves down one level once
+        for level in range(1, top + 1):
+            moved = buckets[level] & gain
+            if moved:
+                buckets[level] ^= moved
+                buckets[level - 1] |= moved
+        buckets[sat] |= 1 << r
 
-    def first_free(v, after, upper):
-        seen = counts[v]
+    def first_free(r, after, upper):
         for cand in range(after + 1, upper + 1):
-            if cand not in seen:
+            if not covered[cand] >> r & 1:
                 return cand
         return None
 
     max_used = 0
-    stack = []  # (vertex, color tried, max_used before)
+    stack = []  # (rank, color tried, its saturation, max_used before, gain)
     while True:
         if len(stack) == n:
-            return "yes", list(colors)
-        v = pick()
+            colors = [0] * n
+            for r, c, *_ in stack:
+                colors[space.order[r]] = c
+            return "yes", colors
+        r, sat = pick(max_used)
         # symmetry break: allow at most one brand-new color
-        c = first_free(v, 0, min(k, max_used + 1))
+        c = first_free(r, 0, min(k, max_used + 1))
         if c is not None:
             if not budget.spend():
                 return "unknown", None
-            stack.append((v, c, max_used))
-            assign(v, c)
+            stack.append((r, c, sat, max_used, assign(r, c, sat, max_used)))
             max_used = max(max_used, c)
             continue
         # backtrack
         while stack:
-            v, c, prev_max = stack.pop()
-            unassign(v, c)
+            r, c, sat, prev_max, gain = stack.pop()
+            unassign(r, c, sat, gain, max_used)
             max_used = prev_max
-            nxt = first_free(v, c, min(k, max_used + 1))
+            nxt = first_free(r, c, min(k, max_used + 1))
             if nxt is not None:
                 if not budget.spend():
                     return "unknown", None
-                stack.append((v, nxt, max_used))
-                assign(v, nxt)
+                stack.append((r, nxt, sat, max_used, assign(r, nxt, sat, max_used)))
                 max_used = max(max_used, nxt)
                 break
         else:
@@ -216,12 +255,16 @@ def dsatur(adj: list[set[int]]) -> tuple[list[int], int]:
     smallest free color (at most max_used + 1) always fits, so the search
     never backtracks and spends exactly n expansions.
     """
+    return _dsatur(adj, _RankSpace(adj))
+
+
+def _dsatur(adj, space: _RankSpace) -> tuple[list[int], int]:
     n = len(adj)
-    _, colors = _search_k_coloring(adj, n, _Budget(n))
+    _, colors = _search_k_coloring(adj, n, _Budget(n), space)
     return colors, max(colors, default=0)
 
 
-def _decide_k(adj, k: int, budget: _Budget):
+def _decide_k(adj, k: int, budget: _Budget, space: _RankSpace | None = None):
     """k-colorability with the closed forms for k = 1, k = 2 and k >= n,
     else the search; a "yes" witness is checked before it is returned."""
     n = len(adj)
@@ -234,7 +277,7 @@ def _decide_k(adj, k: int, budget: _Budget):
         return ("yes", two) if two is not None else ("no", None)
     if k >= n:
         return "yes", list(range(1, n + 1))
-    status, witness = _search_k_coloring(adj, k, budget)
+    status, witness = _search_k_coloring(adj, k, budget, space)
     if status == "yes":
         _check_witness(adj, witness, k)
     return status, witness
@@ -264,13 +307,14 @@ def chi_exact(g, budget: int = 1_000_000) -> ChiResult:
     adj = as_adjacency(g)
     if not adj:
         return ChiResult(0, 0, True, tuple(), 0)
-    witness, upper = dsatur(adj)
+    space = _RankSpace(adj)
+    witness, upper = _dsatur(adj, space)
     best_witness = tuple(witness)
     tracker = _Budget(budget)
-    k = max(clique_lower_bound(g, adj), 1)
+    k = max(_clique_bound(g, space), 1)
     # an "unknown" leaves the tracker overspent, which ends the loop
     while k < upper and tracker.used < budget:
-        status, wit = _decide_k(adj, k, tracker)
+        status, wit = _decide_k(adj, k, tracker, space)
         if status == "yes":
             return ChiResult(k, k, True, tuple(wit), tracker.used)
         if status == "no":
@@ -299,18 +343,39 @@ def export_dimacs(g, path) -> None:
 
 
 def read_dimacs(path) -> tuple[int, list[tuple[int, int]]]:
-    """Parse a col file back to (n, 0-based edge list)."""
+    """Parse a col file back to (n, 0-based edge list).
+
+    Raises ParameterError naming the line for a problem line without two
+    counts or after the first, an edge line before the problem line or
+    without two endpoints in [1, n], and for a count or endpoint that is
+    not a decimal integer."""
     n = None
     edges = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts or parts[0] == "c":
                 continue
+            where = f"{path} line {lineno}"
             if parts[0] == "p":
-                n = int(parts[2])
+                if n is not None or len(parts) != 4:
+                    raise ParameterError(f"{where}: expected one 'p edge <n> <m>' line")
+                n, _ = _dimacs_ints(parts[2:], where)
             elif parts[0] == "e":
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+                if n is None:
+                    raise ParameterError(f"{where}: edge line before the problem line")
+                if len(parts) != 3:
+                    raise ParameterError(f"{where}: expected 'e <u> <v>'")
+                u, v = _dimacs_ints(parts[1:], where)
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ParameterError(f"{where}: endpoint outside [1, {n}]")
+                edges.append((u - 1, v - 1))
     if n is None:
         raise ParameterError(f"{path} has no problem line")
     return n, edges
+
+
+def _dimacs_ints(tokens, where) -> list[int]:
+    if not all(t.isascii() and t.isdigit() for t in tokens):
+        raise ParameterError(f"{where}: {' '.join(tokens)!r} are not decimal integers")
+    return [int(t) for t in tokens]

@@ -10,7 +10,7 @@ import time
 
 from colorreduce import (MULTISET, SET, build_local1, build_relaxed_levels,
                          canonical_decode, check_correspondence, chi_exact,
-                         class_defect, delta_plus_one_program,
+                         class_defect, delta_plus_one_program, dsatur,
                          embedded_clique, erase_multiplicities,
                          export_dimacs, extract_view, extract_all_views,
                          full_information_program, is_independent,
@@ -138,6 +138,14 @@ def test_local1_84_k5_exhausted_at_pinned_budget():
     assert (host.n_vertices, host.n_edges) == (2640, 403_200)
     assert is_k_colorable(host, 5, budget=10_796) == ("no", None)
     assert is_k_colorable(host, 5, budget=10_795) == ("unknown", None)
+
+
+def test_local1_84_k6_open_at_200k_budget():
+    # saturation greedy 7-colors local1(8,4), and 200000 expansions
+    # neither find a 6-coloring nor exhaust k=6, so chi is 6 or 7
+    host = build_local1(8, 4, MULTISET)
+    assert dsatur(as_adjacency(host))[1] == 7
+    assert is_k_colorable(host, 6, budget=200_000) == ("unknown", None)
 
 
 def test_criterion_06_refuter_suite(host_7_4):

@@ -9,8 +9,8 @@ import pytest
 
 import colorreduce
 from colorreduce import (MULTISET, SET, ConstructionError, ParameterError,
-                         build_local1, build_relaxed, chi_exact, dsatur,
-                         embedded_clique, export_dimacs, greedy_clique,
+                         build_local1, build_relaxed, build_setlocal, chi_exact,
+                         dsatur, embedded_clique, export_dimacs, greedy_clique,
                          is_k_colorable, read_dimacs)
 from colorreduce.chromatic import (_Budget, _check_witness, _search_k_coloring,
                                    as_adjacency)
@@ -167,6 +167,153 @@ def test_search_matches_rescanning_oracle():
                 assert new.used == old.used, (i, k, limit)
 
 
+def oracle_bucket_search(adj, k, budget):
+    """The search on per-vertex neighbor-color counts and saturation
+    buckets of rank sets, which the rank-space bitmask search replaced."""
+    n = len(adj)
+    colors = [0] * n
+    counts = [{} for _ in range(n)]
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    buckets = [set(range(n))]
+
+    def pick():
+        for bucket in reversed(buckets):
+            if bucket:
+                return order[min(bucket)]
+
+    def assign(v, c):
+        colors[v] = c
+        buckets[len(counts[v])].remove(rank[v])
+        for u in adj[v]:
+            seen = counts[u]
+            if c in seen:
+                seen[c] += 1
+                continue
+            seen[c] = 1
+            if not colors[u]:
+                sat = len(seen)
+                if sat == len(buckets):
+                    buckets.append(set())
+                buckets[sat - 1].remove(rank[u])
+                buckets[sat].add(rank[u])
+
+    def unassign(v, c):
+        colors[v] = 0
+        for u in adj[v]:
+            seen = counts[u]
+            if seen[c] > 1:
+                seen[c] -= 1
+                continue
+            del seen[c]
+            if not colors[u]:
+                sat = len(seen)
+                buckets[sat + 1].remove(rank[u])
+                buckets[sat].add(rank[u])
+        buckets[len(counts[v])].add(rank[v])
+
+    def first_free(v, after, upper):
+        seen = counts[v]
+        for cand in range(after + 1, upper + 1):
+            if cand not in seen:
+                return cand
+        return None
+
+    max_used = 0
+    stack = []
+    while True:
+        if len(stack) == n:
+            return "yes", list(colors)
+        v = pick()
+        c = first_free(v, 0, min(k, max_used + 1))
+        if c is not None:
+            if not budget.spend():
+                return "unknown", None
+            stack.append((v, c, max_used))
+            assign(v, c)
+            max_used = max(max_used, c)
+            continue
+        while stack:
+            v, c, prev_max = stack.pop()
+            unassign(v, c)
+            max_used = prev_max
+            nxt = first_free(v, c, min(k, max_used + 1))
+            if nxt is not None:
+                if not budget.spend():
+                    return "unknown", None
+                stack.append((v, nxt, max_used))
+                assign(v, nxt)
+                max_used = max(max_used, nxt)
+                break
+        else:
+            return "no", None
+
+
+def oracle_greedy_clique(adj):
+    """Greedy clique growth on the original neighbor sets, ordered by a
+    (-degree, index) key, which the rank-keyed version replaced."""
+    degree = [len(s) for s in adj]
+    order_key = lambda v: (-degree[v], v)
+    best = []
+    for seed in sorted(range(len(adj)), key=order_key):
+        clique = [seed]
+        candidates = set(adj[seed])
+        while candidates:
+            v = min(candidates, key=order_key)
+            clique.append(v)
+            candidates &= adj[v]
+        if len(clique) > len(best):
+            best = clique
+    return sorted(best)
+
+
+def assert_search_matches_bucket_oracle(adj, ks, label):
+    for k in ks:
+        for limit in (0, 1, 10, 100, 10**5):
+            new, old = _Budget(limit), _Budget(limit)
+            got = _search_k_coloring(adj, k, new)
+            assert got == oracle_bucket_search(adj, k, old), (label, k, limit)
+            assert new.used == old.used, (label, k, limit)
+
+
+def test_search_and_clique_match_bucket_oracles_on_random_graphs():
+    for seed in range(200):
+        adj = random_graph(seed % 41, (1 + seed % 9) / 10, seed)
+        assert greedy_clique(adj) == oracle_greedy_clique(adj), seed
+        assert_search_matches_bucket_oracle(adj, range(1, 7), seed)
+
+
+@pytest.mark.parametrize("label,build,ks", [
+    ("local1(5,3)", lambda: build_local1(5, 3, MULTISET), (5, 6)),
+    ("local1(6,4)", lambda: build_local1(6, 4, MULTISET), (5, 6)),
+    ("local1(7,4)", lambda: build_local1(7, 4, MULTISET), (5, 6)),
+    ("relaxed(1,5,3)", lambda: build_relaxed(1, 5, 3), (3, 4, 5, 6)),
+    ("setlocal(2,4,3)", lambda: build_setlocal(2, 4, 3), (3, 4, 5, 6)),
+])
+def test_search_and_clique_match_bucket_oracles_on_hosts(label, build, ks):
+    adj = as_adjacency(build())
+    assert greedy_clique(adj) == oracle_greedy_clique(adj), label
+    assert_search_matches_bucket_oracle(adj, ks, label)
+
+
+def test_chi_exact_local1_74_pinned_to_oracle_path(host_7_4):
+    # the oracle path of chi_exact: clique bound 5 (greedy and planted),
+    # a 6-coloring from the first descent, k = 5 exhausted in between
+    adj = as_adjacency(host_7_4)
+    n = len(adj)
+    assert len(oracle_greedy_clique(adj)) == len(embedded_clique(host_7_4)) == 5
+    status, witness = oracle_bucket_search(adj, n, _Budget(n))
+    assert status == "yes" and max(witness) == 6
+    tracker = _Budget(1_000_000)
+    assert oracle_bucket_search(adj, 5, tracker) == ("no", None)
+    assert tracker.used == 4750
+    res = chi_exact(host_7_4)
+    assert (res.lower, res.upper, res.exact, res.expansions_used) == (6, 6, True, 4750)
+    assert res.witness == tuple(witness)
+
+
 @pytest.mark.parametrize("budget,expected", [
     (0, (5, 6, False, 0)), (1, (5, 6, False, 2)), (10, (5, 6, False, 11)),
 ])
@@ -298,6 +445,33 @@ def test_dimacs_triangle(tmp_path):
     assert len([ln for ln in lines if ln.startswith("e ")]) == 3
 
 
+@pytest.mark.parametrize("text,line", [
+    pytest.param("p edge\n", 1, id="no-counts"),
+    pytest.param("p edge 3\n", 1, id="no-edge-count"),
+    pytest.param("p edge x 1\n", 1, id="count-not-integer"),
+    pytest.param("p edge 3 1\ne 1\n", 2, id="one-endpoint"),
+    pytest.param("p edge 3 1\ne 1 2 3\n", 2, id="three-endpoints"),
+    pytest.param("p edge 3 1\ne 1 9\n", 2, id="endpoint-above-n"),
+    pytest.param("p edge 3 1\ne 0 2\n", 2, id="endpoint-zero"),
+    pytest.param("p edge 3 1\ne 1 -2\n", 2, id="endpoint-negative"),
+    pytest.param("p edge 3 1\ne 1 two\n", 2, id="endpoint-not-integer"),
+    pytest.param("c comment\ne 1 2\np edge 3 1\n", 2, id="edge-before-problem-line"),
+    pytest.param("p edge 3 1\np edge 9 1\n", 2, id="second-problem-line"),
+])
+def test_read_dimacs_rejects_malformed_lines(tmp_path, text, line):
+    path = tmp_path / "bad.col"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=f"line {line}:"):
+        read_dimacs(path)
+
+
+def test_read_dimacs_without_problem_line(tmp_path):
+    path = tmp_path / "empty.col"
+    path.write_text("c nothing here\n")
+    with pytest.raises(ParameterError, match="no problem line"):
+        read_dimacs(path)
+
+
 def test_improper_witness_raises():
     adj = as_adjacency(TRIANGLE)
     _check_witness(adj, [1, 2, 3], 3)
@@ -313,7 +487,7 @@ from colorreduce import ConstructionError, chromatic
 cycle5 = [[1, 4], [0, 2], [1, 3], [2, 4], [3, 0]]
 status, witness = chromatic.is_k_colorable(cycle5, 3)
 print(sys.flags.optimize, status, witness)
-chromatic._search_k_coloring = lambda adj, k, budget: ("yes", [1] * len(adj))
+chromatic._search_k_coloring = lambda adj, k, budget, *_: ("yes", [1] * len(adj))
 try:
     chromatic.is_k_colorable(cycle5, 3)
 except ConstructionError:

@@ -386,6 +386,16 @@ def test_hom_h_verified(r, m, d):
     assert all(hom.mapping[v] is v for v in hom.domain.vertices)  # the inclusion
 
 
+@pytest.mark.parametrize("r,m,d,chi,expansions", [(2, 4, 3, 4, 33), (3, 3, 2, 3, 0)])
+def test_hom_h_chi_monotone(r, m, d, chi, expansions):
+    # typed embeds in setlocal, so chi(typed) <= chi(setlocal); here the
+    # two are equal and both solved exactly
+    hom = typed_to_setlocal_hom(r, m, d)
+    for graph in (hom.domain, hom.codomain):
+        res = chi_exact(graph)
+        assert (res.lower, res.upper, res.exact, res.expansions_used) == (chi, chi, True, expansions)
+
+
 def test_hom_f_level_zero_identity():
     hom = relaxed_to_typed_hom(0, 3, 1)
     assert verify_homomorphism(hom).ok
