@@ -26,30 +26,63 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import ConstructionError, ParameterError
-from .nbhd import (DEFAULT_CAP, NbhdGraph, adjacent_positions, build_relaxed_levels,
-                   mutual_edge)
+from .nbhd import DEFAULT_CAP, NbhdGraph, build_relaxed_levels, mutual_edge
 from .views import MULTISET, SET, View, canonical_encode
 
 
 def is_independent(nodes) -> bool:
-    """No two class members are joined by the mutual-membership edge rule."""
-    return next(adjacent_positions(list(nodes)), None) is None
+    """No two class members are joined by the edge rule: at most one
+    distinct leaf, and no member publishes a key whose reverse an earlier
+    one published (see nbhd).  A member publishes each key once, so its
+    own (x, x) meets only another member's, or a copy's."""
+    keys, leaf = set(), None
+    add = keys.add
+    for u in nodes:
+        x = u.inner
+        if x is None:
+            if leaf is None:
+                leaf = u
+            elif u is not leaf:
+                return False
+            continue
+        for y in u.child_lookup:
+            if (y, x) in keys:
+                return False
+            add((x, y))
+    return True
 
 
 def class_defect(nodes) -> int:
-    """Maximum induced degree of the class under the edge rule."""
+    """Maximum induced degree of the class under the edge rule, counted
+    over list positions; copies of a member are not its neighbors."""
     nodes = list(nodes)
-    degree = [0] * len(nodes)
-    for i, j in adjacent_positions(nodes):
-        if nodes[i] is not nodes[j]:
-            degree[i] += 1
-    return max(degree, default=0)
+    copies = Counter(nodes)
+    published = Counter([(u.inner, y) for u in nodes if u.depth for y in u.child_lookup])
+    get = published.get
+    leaves = sum(1 for u in nodes if u.depth == 0)
+    defect = 0
+    for u in nodes:
+        x = u.inner
+        if x is None:
+            degree = leaves - copies[u]
+        else:
+            # (x, A) meets the positions publishing (y, x), y in A; its own
+            # copies are among them exactly when x is in A
+            degree = 0
+            for y in u.child_lookup:
+                degree += get((y, x), 0)
+            if x in u.child_lookup:
+                degree -= copies[u]
+        if degree > defect:
+            defect = degree
+    return defect
 
 
 def _cover(class_nodes, m=None) -> dict:
@@ -598,10 +631,12 @@ def random_defective_classes(m: int, delta: int, d: int, count: int,
 
 def random_relaxed_class(levels, size: int, seed: int, bound: int) -> frozenset[View]:
     """A random independent set of the level above the last built level,
-    sampled via random (center, neighbor-subset) draws."""
+    sampled via random (center, neighbor-subset) draws; a draw is kept
+    unless it meets a chosen member by the edge rule."""
     rng = random.Random(seed)
     top = levels[-1]
-    chosen: list[View] = []
+    chosen: set[View] = set()
+    keys: set = set()
     for _ in range(size * 8):
         if len(chosen) >= size:
             break
@@ -610,7 +645,10 @@ def random_relaxed_class(levels, size: int, seed: int, bound: int) -> frozenset[
         nbrs = [top.vertices[j] for j in top.adjacency[i]]
         k = rng.randrange(0, min(bound, len(nbrs)) + 1)
         node = View.make(SET, x, rng.sample(nbrs, k))
-        if any(node is u or mutual_edge(node, u) for u in chosen):
+        # node = (x, A) publishes (x, y) for y in A; a repeated draw is
+        # either rejected here or adds nothing to the set
+        if any((y, x) in keys for y in node.child_lookup):
             continue
-        chosen.append(node)
+        chosen.add(node)
+        keys.update((x, y) for y in node.child_lookup)
     return frozenset(chosen)

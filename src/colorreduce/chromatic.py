@@ -28,9 +28,25 @@ from .views import View, canonical_encode
 
 
 def as_adjacency(g) -> list[set[int]]:
-    """Adapt NbhdGraph, ColoredGraph, or a plain neighbor-list structure."""
-    rows = g.adjacency if isinstance(g, (NbhdGraph, ColoredGraph)) else g
-    return [set(nbrs) for nbrs in rows]
+    """Adapt NbhdGraph, ColoredGraph, or a plain neighbor-list structure.
+
+    The rows of the two graph types are taken as they are (their
+    constructors make them loop-free and symmetric).  Plain rows must
+    name vertices in range, hold no self-loop and be symmetric, or
+    ParameterError is raised."""
+    if isinstance(g, (NbhdGraph, ColoredGraph)):
+        return [set(nbrs) for nbrs in g.adjacency]
+    adj = [set(nbrs) for nbrs in g]
+    n = len(adj)
+    for v, nbrs in enumerate(adj):
+        for u in nbrs:
+            if not (isinstance(u, int) and 0 <= u < n):
+                raise ParameterError(f"vertex {v} has neighbor {u!r} outside [0, {n})")
+            if u == v:
+                raise ParameterError(f"vertex {v} has a self-loop")
+            if v not in adj[u]:
+                raise ParameterError(f"edge {v}-{u} is listed only at {v}")
+    return adj
 
 
 @dataclass(frozen=True)
@@ -80,7 +96,8 @@ class _RankSpace:
 
 
 def greedy_clique(adj: list[set[int]]) -> list[int]:
-    """Best clique over greedy growth from every seed vertex."""
+    """Best clique over greedy growth from every seed vertex, on rows as
+    as_adjacency returns them (a self-loop would let growth run forever)."""
     return _greedy_clique(_RankSpace(adj))
 
 
@@ -266,18 +283,19 @@ def _dsatur(adj, space: _RankSpace) -> tuple[list[int], int]:
 
 def _decide_k(adj, k: int, budget: _Budget, space: _RankSpace | None = None):
     """k-colorability with the closed forms for k = 1, k = 2 and k >= n,
-    else the search; a "yes" witness is checked before it is returned."""
+    else the search; every "yes" witness is checked before it is returned."""
     n = len(adj)
     if k == 1:
         if any(adj):
             return "no", None
-        return "yes", [1] * n
-    if k == 2:
+        status, witness = "yes", [1] * n
+    elif k == 2:
         two = _bipartition(adj)
-        return ("yes", two) if two is not None else ("no", None)
-    if k >= n:
-        return "yes", list(range(1, n + 1))
-    status, witness = _search_k_coloring(adj, k, budget, space)
+        status, witness = ("yes", two) if two is not None else ("no", None)
+    elif k >= n:
+        status, witness = "yes", list(range(1, n + 1))
+    else:
+        status, witness = _search_k_coloring(adj, k, budget, space)
     if status == "yes":
         _check_witness(adj, witness, k)
     return status, witness

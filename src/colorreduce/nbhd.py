@@ -42,6 +42,18 @@ of w and w' and join u to v.  Degrees and properness are kept, and by
 induction on k <= r every node keeps its k-view: set delivery sees only
 the set of neighbor views, and v's (k-1)-view is w's.
 
+The edge rule in key form: a depth >= 1 vertex (x, A) publishes the key
+(x, y) for each distinct y in A, and (x, A), (y, B) are joined iff one
+publishes (x, y) and the other (y, x).  Wiring indexes positions by the
+keys they publish; the row of (x, A) is then the buckets of (y, x) for y
+in A, with no scan over candidates.  The row is complete: a neighbor
+(y, B) has center y in A and x in B, so it sits in the bucket of (y, x).
+It has no repeats: every position has one center, so the buckets of
+distinct y are disjoint, and each lists a position once.  (x, A) is in
+its own row only through (x, x), that is when x is in A, and is dropped
+there.  An independence check keeps one set of the keys seen and stops
+at the first key whose reverse is already in it.
+
 The recursive families blow up exponentially; builders project their
 vertex count first and refuse to exceed an explicit cap, which also
 bounds the number of edges they wire.
@@ -108,31 +120,45 @@ def mutual_edge(u: View, v: View) -> bool:
     return u.inner in v.child_lookup and v.inner in u.child_lookup
 
 
-def adjacent_positions(nodes):
-    """Ordered pairs (i, j), i != j, of list positions whose members are
-    joined by the edge rule, found through an index of positions by
-    center: a depth >= 1 member can only meet members centered on one of
-    its children (which share its depth), and depth-0 members meet every
-    distinct leaf.  Duplicate entries pair up like any other positions.
-    Each ordered pair comes once, and (j, i) comes whenever (i, j) does."""
-    leaves, by_center = [], {}
+def _wire(nodes, cap) -> tuple[tuple[int, ...], ...]:
+    """Row i lists, ascending, the positions j != i whose members the edge
+    rule joins to position i; CapExceededError once the rows so far hold
+    more than `cap` edges.
+
+    Depth >= 1 positions are indexed by the keys they publish (see the
+    module docstring), and the row of (x, A) is the concatenation of the
+    buckets of the keys (y, x), y in A.  Depth-0 positions meet every
+    distinct leaf, and duplicate positions pair up like any others."""
+    index, leaves = {}, []
     for i, u in enumerate(nodes):
         if u.depth == 0:
             leaves.append(i)
-        else:
-            by_center.setdefault(u.inner, []).append(i)
-    for i in leaves:
-        for j in leaves:
-            if nodes[i] is not nodes[j]:
-                yield i, j
-    for i, u in enumerate(nodes):
-        if u.depth == 0:
             continue
         x = u.inner
-        for child in u.child_lookup:
-            for j in by_center.get(child, ()):
-                if j != i and x in nodes[j].child_lookup:
-                    yield i, j
+        for y in u.child_lookup:
+            bucket = index.get((x, y))
+            if bucket is None:
+                index[x, y] = [i]
+            else:
+                bucket.append(i)
+    # every edge is listed in two rows, so more than 2*cap + 1 entries
+    # means more than cap edges
+    limit, wired, rows = 2 * cap + 1, 0, []
+    for i, u in enumerate(nodes):
+        if u.depth == 0:
+            row = [j for j in leaves if nodes[j] is not u]
+        else:
+            x, row = u.inner, []
+            for y in u.child_lookup:
+                row += index.get((y, x), ())
+            if x in u.child_lookup:
+                row.remove(i)
+            row.sort()
+        rows.append(tuple(row))
+        wired += len(row)
+        if wired > limit:
+            raise CapExceededError(wired // 2, cap, what="edges (at least)")
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -200,17 +226,7 @@ def _finish(family, m, degree_param, level, variant, vertices, cap) -> NbhdGraph
     """Sort vertices canonically and wire edges by the edge rule, raising
     CapExceededError once more than `cap` edges are wired."""
     ordered = tuple(sorted(set(vertices), key=canonical_encode))
-    nbrs = [[] for _ in ordered]
-    # every edge arrives as two ordered pairs, so more than 2*cap + 1
-    # pairs means more than cap edges
-    limit, wired = 2 * cap + 1, 0
-    for i, j in adjacent_positions(ordered):
-        nbrs[i].append(j)
-        wired += 1
-        if wired > limit:
-            raise CapExceededError(wired // 2, cap, what="edges (at least)")
-    adjacency = tuple(tuple(sorted(js)) for js in nbrs)
-    return NbhdGraph(family, m, degree_param, level, variant, ordered, adjacency)
+    return NbhdGraph(family, m, degree_param, level, variant, ordered, _wire(ordered, cap))
 
 
 def _clique_vertices(m, kind):

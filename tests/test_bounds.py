@@ -297,6 +297,34 @@ def test_class_checks_match_pairwise_scans():
         assert class_defect(cls) == seed_class_defect(cls), cls
 
 
+def seed_random_relaxed_class(levels, size, seed, bound):
+    """The sampler with a pairwise edge-rule scan over the chosen members."""
+    rng = random.Random(seed)
+    top = levels[-1]
+    chosen = []
+    for _ in range(size * 8):
+        if len(chosen) >= size:
+            break
+        i = rng.randrange(top.n_vertices)
+        x = top.vertices[i]
+        nbrs = [top.vertices[j] for j in top.adjacency[i]]
+        k = rng.randrange(0, min(bound, len(nbrs)) + 1)
+        node = View.make(SET, x, rng.sample(nbrs, k))
+        if any(node is u or mutual_edge(node, u) for u in chosen):
+            continue
+        chosen.append(node)
+    return frozenset(chosen)
+
+
+@pytest.mark.parametrize("r,m,size", [(1, 7, 25), (2, 5, 40), (3, 3, 30)])
+def test_random_relaxed_class_matches_pairwise_sampler(r, m, size):
+    levels = build_relaxed_levels(r - 1, m, 4)
+    for seed in range(8):
+        got = random_relaxed_class(levels, size, seed, 4)
+        assert got == seed_random_relaxed_class(levels, size, seed, 4)
+        assert is_independent(got) and len(got) > 1
+
+
 def seed_defective_classes(m, delta, d, count, seed, kind=MULTISET):
     """random_defective_classes with the pairwise `touching` scan."""
     rng = random.Random(seed)

@@ -12,8 +12,9 @@ from colorreduce import (MULTISET, SET, ConstructionError, ParameterError,
                          build_local1, build_relaxed, build_setlocal, chi_exact,
                          dsatur, embedded_clique, export_dimacs, greedy_clique,
                          is_k_colorable, read_dimacs)
-from colorreduce.chromatic import (_Budget, _check_witness, _search_k_coloring,
-                                   as_adjacency)
+from colorreduce.chromatic import (_Budget, _check_witness, _decide_k,
+                                   _search_k_coloring, as_adjacency,
+                                   clique_lower_bound)
 
 TRIANGLE = [[1, 2], [0, 2], [0, 1]]
 
@@ -420,6 +421,38 @@ def test_budget_exhaustion_returns_bracket():
 def test_is_k_colorable_parameter_error():
     with pytest.raises(ParameterError):
         is_k_colorable(TRIANGLE, 0)
+
+
+@pytest.mark.parametrize("rows,problem", [
+    ([[5], [0]], "outside"),
+    ([[-1], [0]], "outside"),
+    ([["1"], [0]], "outside"),
+    ([[0], [], []], "self-loop"),
+    ([[0], [1], [2]], "self-loop"),
+    ([[1], []], "listed only"),
+    ([[1, 2], [0], [1]], "listed only"),
+])
+def test_plain_rows_rejected_before_solving(rows, problem, monkeypatch, tmp_path):
+    # a self-loop would make greedy clique growth run without bound, so the
+    # growth step is replaced by one that fails the test if it is reached
+    def no_growth(space):
+        raise AssertionError("clique growth started on unchecked rows")
+
+    monkeypatch.setattr(colorreduce.chromatic, "_greedy_clique", no_growth)
+    for call in (lambda: as_adjacency(rows), lambda: chi_exact(rows),
+                 lambda: clique_lower_bound(rows), lambda: is_k_colorable(rows, 2),
+                 lambda: is_k_colorable(rows, len(rows)),
+                 lambda: export_dimacs(rows, tmp_path / "g.col")):
+        with pytest.raises(ParameterError, match=problem):
+            call()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_closed_form_witness_is_checked(k):
+    # rows past the input check: k >= n colors a looped vertex like any other
+    with pytest.raises(ConstructionError, match="improper"):
+        _decide_k([{0}, set(), set()], k, _Budget(10))
+    assert _decide_k([set(), set(), set()], 1, _Budget(10)) == ("yes", [1, 1, 1])
 
 
 def test_dimacs_export_roundtrip(tmp_path):

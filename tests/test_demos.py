@@ -1,4 +1,4 @@
-"""The demos run to completion; demo 01 prints exactly its recorded output."""
+"""The demos run to completion and print exactly their recorded output."""
 
 import os
 import subprocess
@@ -27,6 +27,5 @@ def test_five_demos():
 def test_demo_exits_0(path):
     proc = run_demo(path)
     assert proc.returncode == 0, proc.stderr.decode()
-    if path.stem == "01_color_reduction_pipeline":
-        expected = (ROOT / "tests" / "data" / "demo01_stdout.txt").read_bytes()
-        assert proc.stdout == expected
+    expected = (ROOT / "tests" / "data" / f"demo{path.stem[:2]}_stdout.txt").read_bytes()
+    assert proc.stdout == expected

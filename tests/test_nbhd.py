@@ -5,14 +5,17 @@ from dataclasses import FrozenInstanceError
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorreduce import (BOTTOM, CapExceededError, ColoredGraph, HomMap,
                          MULTISET, SET, View, build_local1, build_relaxed,
                          build_relaxed_levels, build_setlocal, build_typed,
                          build_typed_levels, canonical_encode, center,
-                         chi_exact, extract_all_views, mutual_edge,
-                         relaxed_to_typed_hom, typed_to_setlocal_hom, types,
-                         verify_homomorphism)
+                         chi_exact, class_defect, extract_all_views,
+                         is_independent, mutual_edge, relaxed_to_typed_hom,
+                         typed_to_setlocal_hom, types, verify_homomorphism)
+from colorreduce.nbhd import _wire
 
 
 def leaf(kind, c):
@@ -332,6 +335,24 @@ def test_edge_cap_bounds_wiring():
     assert "edges" in str(err.value)
 
 
+def test_edge_cap_refuses_within_one_row(host_7_4):
+    # 1,470 vertices are over a cap of 1,000 before any row is wired
+    with pytest.raises(CapExceededError) as err:
+        build_local1(7, 4, MULTISET, cap=1000)
+    assert err.value.projected == 1470 and "vertices" in str(err.value)
+    # at 2,000 the vertices fit and the 148,176 edges do not; the cap is
+    # checked after each row, so the count passes it by at most one row
+    with pytest.raises(CapExceededError) as err:
+        build_local1(7, 4, MULTISET, cap=2000)
+    assert "edges" in str(err.value)
+    assert 2000 < err.value.projected
+    assert 2 * err.value.projected <= 2 * 2000 + 1 + host_7_4.max_degree()
+    # local1(10,5): 20,020 vertices fit the default cap, 23,005,125 edges do not
+    with pytest.raises(CapExceededError) as err:
+        build_local1(10, 5, MULTISET)
+    assert "edges" in str(err.value)
+
+
 def test_nbhd_graph_is_frozen():
     g = build_setlocal(1, 3, 2)
     with pytest.raises(FrozenInstanceError):
@@ -343,8 +364,10 @@ def test_nbhd_graph_is_frozen():
 
 def test_adjacency_matches_pairwise_edge_rule():
     graphs = [build_local1(4, 2, MULTISET), build_local1(4, 2, SET),
-              *build_relaxed_levels(2, 3, 2), *build_typed_levels(2, 3, 2)]
-    assert [g.level for g in graphs] == [1, 1, 0, 1, 2, 0, 1, 2]
+              build_local1(5, 3, MULTISET), build_local1(5, 3, SET),
+              *build_relaxed_levels(2, 3, 2), *build_typed_levels(2, 3, 2),
+              build_setlocal(2, 3, 3)]
+    assert [g.level for g in graphs] == [1, 1, 1, 1, 0, 1, 2, 0, 1, 2, 2]
     for g in graphs:
         pairwise = tuple(
             tuple(j for j, v in enumerate(g.vertices) if mutual_edge(u, v))
@@ -352,6 +375,87 @@ def test_adjacency_matches_pairwise_edge_rule():
         )
         assert g.adjacency == pairwise, (g.family, g.level)
         assert g.n_edges > 0
+
+
+# --- the key-indexed rows against the candidate scan they replaced ----------
+
+def oracle_adjacent_positions(nodes):
+    """Ordered pairs (i, j), i != j, of list positions whose members are
+    joined by the edge rule, found through an index of positions by
+    center and a membership test per candidate.  Duplicate entries pair
+    up like any other positions."""
+    leaves, by_center = [], {}
+    for i, u in enumerate(nodes):
+        if u.depth == 0:
+            leaves.append(i)
+        else:
+            by_center.setdefault(u.inner, []).append(i)
+    for i in leaves:
+        for j in leaves:
+            if nodes[i] is not nodes[j]:
+                yield i, j
+    for i, u in enumerate(nodes):
+        if u.depth == 0:
+            continue
+        x = u.inner
+        for child in u.child_lookup:
+            for j in by_center.get(child, ()):
+                if j != i and x in nodes[j].child_lookup:
+                    yield i, j
+
+
+def oracle_class_defect(nodes):
+    degree = [0] * len(nodes)
+    for i, j in oracle_adjacent_positions(nodes):
+        if nodes[i] is not nodes[j]:
+            degree[i] += 1
+    return max(degree, default=0)
+
+
+# two colors' worth of depth-1 vertices per kind, among them (1, {1, 2})
+# and (2, {2}), whose centers are among their own children; depth-2
+# members draw on them, so they meet often enough to test the rule
+_DEPTH1 = {kind: [node(kind, 1, [2]), node(kind, 2, [1]), node(kind, 1, [1, 2]),
+                  node(kind, 2, [2]), node(kind, 3, [1, 2])]
+           for kind in (SET, MULTISET)}
+
+
+def _members(kind):
+    leaves = st.integers(1, 3).map(lambda c: leaf(kind, c))
+    depth1 = st.builds(lambda x, a: View.make(kind, x, a), leaves,
+                       st.lists(leaves, max_size=3))
+    pool = st.sampled_from(_DEPTH1[kind])
+    depth2 = st.builds(lambda x, a: View.make(kind, x, a), pool,
+                       st.lists(pool, max_size=3))
+    return st.one_of(leaves, depth1, pool, depth2)
+
+
+@st.composite
+def member_lists(draw):
+    nodes = draw(st.lists(st.one_of(_members(SET), _members(MULTISET)), max_size=16))
+    if nodes:
+        nodes += draw(st.lists(st.sampled_from(nodes), max_size=4))
+    if draw(st.booleans()):
+        nodes.append(node(SET, 1, [1, 2]))
+    return draw(st.permutations(nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_lists(), st.integers(0, 60))
+def test_key_rows_and_class_checks_match_oracle(nodes, cap):
+    expected = [[] for _ in nodes]
+    for i, j in oracle_adjacent_positions(nodes):
+        expected[i].append(j)
+    expected = tuple(tuple(sorted(js)) for js in expected)
+    edges = sum(map(len, expected)) // 2
+    assert _wire(nodes, edges) == expected
+    if cap < edges:
+        with pytest.raises(CapExceededError):
+            _wire(nodes, cap)
+    else:
+        assert _wire(nodes, cap) == expected
+    assert is_independent(nodes) == (edges == 0)
+    assert class_defect(nodes) == oracle_class_defect(nodes)
 
 
 def test_center_and_types_accessors():
