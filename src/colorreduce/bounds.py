@@ -581,15 +581,14 @@ def random_independent_sets(graph: NbhdGraph, count: int, seed: int) -> list[fro
     for _ in range(count):
         order = list(range(n))
         rng.shuffle(order)
-        blocked = bytearray(n)
+        blocked = set()
         chosen = []
         for i in order:
-            if blocked[i]:
+            if i in blocked:
                 continue
             chosen.append(i)
-            blocked[i] = 1
-            for j in graph.adjacency[i]:
-                blocked[j] = 1
+            blocked.add(i)
+            blocked.update(graph.adjacency[i])
         out.append(frozenset(graph.vertices[i] for i in chosen))
     return out
 

@@ -97,7 +97,8 @@ class _RankSpace:
 
 def greedy_clique(adj: list[set[int]]) -> list[int]:
     """Best clique over greedy growth from every seed vertex, on rows as
-    as_adjacency returns them (a self-loop would let growth run forever)."""
+    as_adjacency returns them.  The candidates never hold a vertex of the
+    clique, so growth ends on any rows, looped ones included."""
     return _greedy_clique(_RankSpace(adj))
 
 
@@ -110,10 +111,12 @@ def _greedy_clique(space: _RankSpace) -> list[int]:
     for seed in space.order:
         clique = [seed]
         candidates = set(adj[seed])
+        candidates.discard(seed)
         while candidates:
             v = min(candidates, key=by_rank)
             clique.append(v)
             candidates &= adj[v]
+            candidates.discard(v)
         if len(clique) > len(best):
             best = clique
     return sorted(best)

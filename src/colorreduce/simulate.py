@@ -230,8 +230,7 @@ def full_information_program(r: int) -> NodeProgram:
             kind = SET if isinstance(received, frozenset) else MULTISET
             state = View.leaf(kind, state)
             return state, canonical_encode(state)
-        children = (canonical_decode(msg) for msg in received)
-        state = View.make(state.kind, state, children)
+        state = View.make(state.kind, state, map(canonical_decode, received))
         return state, canonical_encode(state)
 
     def finalize(state):

@@ -6,14 +6,22 @@ duplicate-free set under set delivery, a multiset under multiset delivery.
 
 Views are hash-consed: structurally equal views are the same object, so
 equality and hashing are plain object identity, O(1) even for deep views.
+The intern pool is keyed by a view's own parts, not by a digest: a leaf
+by (kind, color), a deeper view by its inner view and the frozenset of
+its children, or of (child, count) pairs when some count is above 1.
+The parts are interned already, so by induction equal structure means
+identical parts.  A lookup that finds its view computes no digest; only
+a new view sorts its children and computes its 16-byte digest, which
+names views and orders children but decides no identity.
+
 Identity hashes follow memory addresses, so the iteration order of a set
 of views is not stable across runs; anything that must be reproducible
 orders views by digest or canonical encoding instead.  The exact
 canonical byte encoding is injective and decodable; it is materialized
-lazily and meant for desk-scale views (the interned digest serves deep
-ones).  Every encoding materialized in this process is also a key of a
-table back to its view, so decoding those bytes is one lookup; other
-bytes are parsed and checked.  The table lives as long as the intern
+lazily and meant for desk-scale views (the digest serves deep ones).
+Every encoding materialized in this process is also a key of a table
+back to its view, so decoding those bytes is one lookup; other bytes
+are parsed and checked.  The table lives as long as the intern
 pool: both are process-global and never freed.
 """
 
@@ -33,18 +41,14 @@ class View:
     __slots__ = ("kind", "depth", "base_color", "inner", "children",
                  "child_lookup", "child_size", "digest", "_enc")
 
-    _pool: dict = {}
+    _pool: dict = {}  # (kind, color) or (inner, children key) -> view
     _by_enc: dict = {}  # canonical encoding -> view, filled by canonical_encode
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use View.leaf(...) or View.make(...)")
 
     @classmethod
-    def _intern(cls, kind, depth, base_color, inner, children, digest):
-        pool = cls._pool
-        found = pool.get(digest)
-        if found is not None:
-            return found
+    def _intern(cls, key, kind, depth, base_color, inner, children, lookup, digest):
         self = object.__new__(cls)
         self_set = object.__setattr__
         self_set(self, "kind", kind)
@@ -52,12 +56,12 @@ class View:
         self_set(self, "base_color", base_color)
         self_set(self, "inner", inner)
         self_set(self, "children", children)
-        self_set(self, "child_lookup", frozenset(c for c, _ in children))
+        self_set(self, "child_lookup", lookup)
         self_set(self, "child_size", sum(cnt for _, cnt in children))
         self_set(self, "digest", digest)
         self_set(self, "_enc", None)
         # setdefault is atomic, so racing threads all get the first object
-        return pool.setdefault(digest, self)
+        return cls._pool.setdefault(key, self)
 
     @classmethod
     def leaf(cls, kind, color):
@@ -66,10 +70,12 @@ class View:
             raise ValueError(f"unknown kind {kind!r}")
         if not isinstance(color, int) or color < 1:
             raise ValueError("colors are positive integers")
-        h = blake2b(digest_size=16)
-        h.update(b"L" + _KIND_BYTE[kind])
-        h.update(b"%d" % color)
-        return cls._intern(kind, 0, color, None, (), h.digest())
+        key = (kind, color)
+        found = cls._pool.get(key)
+        if found is not None:
+            return found
+        digest = blake2b(b"L%s%d" % (_KIND_BYTE[kind], color), digest_size=16).digest()
+        return cls._intern(key, kind, 0, color, None, (), frozenset(), digest)
 
     @classmethod
     def make(cls, kind, inner, children):
@@ -78,6 +84,19 @@ class View:
         `children` is an iterable of View or (View, count) pairs.  Under
         SET kind duplicates collapse; under MULTISET multiplicities add up.
         """
+        children = tuple(children)
+        try:
+            lookup = frozenset(children)
+        except TypeError:  # an unhashable entry, rejected by the checks below
+            lookup = None
+        if lookup is not None and (kind == SET or len(lookup) == len(children)):
+            # a hit on a key of plain views skips the checks, which its
+            # parts passed when it was interned; a key of (view, count)
+            # pairs is shorter than its view's child_size, so input pairs,
+            # whose counts may only compare equal (2.0 == 2), never skip them
+            found = cls._pool.get((inner, lookup))
+            if found is not None and found.kind == kind and found.child_size == len(lookup):
+                return found
         if kind not in _KIND_BYTE:
             raise ValueError(f"unknown kind {kind!r}")
         if inner.kind != kind:
@@ -96,16 +115,21 @@ class View:
                 raise ValueError("child view kind mismatch")
             counts[child] = counts.get(child, 0) + cnt
         if kind == SET:
-            items = tuple((c, 1) for c in sorted(counts, key=lambda v: v.digest))
+            counts = dict.fromkeys(counts, 1)
+        lookup = frozenset(counts)
+        if len(lookup) == sum(counts.values()):
+            key = (inner, lookup)
         else:
-            items = tuple(sorted(counts.items(), key=lambda kv: kv[0].digest))
-        h = blake2b(digest_size=16)
-        h.update(b"N" + _KIND_BYTE[kind])
-        h.update(inner.digest)
+            key = (inner, frozenset(counts.items()))
+        found = cls._pool.get(key)
+        if found is not None:
+            return found
+        items = tuple(sorted(counts.items(), key=lambda kv: kv[0].digest))
+        parts = [b"N", _KIND_BYTE[kind], inner.digest]
         for child, cnt in items:
-            h.update(child.digest)
-            h.update(b"%d," % cnt)
-        return cls._intern(kind, inner.depth + 1, None, inner, items, h.digest())
+            parts += (child.digest, b"%d," % cnt)
+        digest = blake2b(b"".join(parts), digest_size=16).digest()
+        return cls._intern(key, kind, inner.depth + 1, None, inner, items, lookup, digest)
 
     def __repr__(self):
         if self.depth == 0:
@@ -229,10 +253,8 @@ def extract_all_views(g, r: int, kind) -> list[View]:
         raise ValueError("rounds must be >= 0")
     current = [View.leaf(kind, c) for c in g.psi]
     for _ in range(r):
-        current = [
-            View.make(kind, current[v], (current[u] for u in g.adjacency[v]))
-            for v in range(g.n)
-        ]
+        at = current.__getitem__
+        current = [View.make(kind, current[v], map(at, g.adjacency[v])) for v in range(g.n)]
     return current
 
 

@@ -376,6 +376,19 @@ def test_greedy_clique_finds_triangle():
     assert len(greedy_clique([set(s) for s in TRIANGLE])) == 3
 
 
+def test_greedy_clique_ends_on_looped_rows():
+    # greedy_clique takes rows unchecked; a child process turns growth
+    # that never ends into a timeout instead of a stalled suite
+    src = str(Path(colorreduce.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from colorreduce import greedy_clique\n"
+         "print(greedy_clique([{0}, set()]), greedy_clique([{0, 1}, {0, 1}]))"],
+        capture_output=True, text=True, timeout=30, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0]", "[0,", "1]"]
+
+
 def test_dsatur_witness_proper():
     host = build_local1(5, 3, MULTISET)
     colors, used = dsatur(as_adjacency(host))
@@ -433,8 +446,8 @@ def test_is_k_colorable_parameter_error():
     ([[1, 2], [0], [1]], "listed only"),
 ])
 def test_plain_rows_rejected_before_solving(rows, problem, monkeypatch, tmp_path):
-    # a self-loop would make greedy clique growth run without bound, so the
-    # growth step is replaced by one that fails the test if it is reached
+    # the growth step is replaced by one that fails the test if it is
+    # reached, so every call must reject the rows before any solving
     def no_growth(space):
         raise AssertionError("clique growth started on unchecked rows")
 

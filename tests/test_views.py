@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+from hashlib import blake2b
 from pathlib import Path
 
 import pytest
@@ -340,3 +341,235 @@ def test_intern_pool_gives_one_object_per_digest_across_threads():
                     assert a is b and a.inner is b.inner
     finally:
         sys.setswitchinterval(old_interval)
+
+
+class OracleView:
+    """The digest-keyed constructor that parts-keyed interning replaced,
+    with a pool of its own: every call sorts the children by digest and
+    hashes them, and the digest alone names the view."""
+
+    __slots__ = ("kind", "depth", "base_color", "inner", "children",
+                 "child_lookup", "child_size", "digest")
+
+    _pool: dict = {}
+    _kind_byte = {SET: b"S", MULTISET: b"M"}
+
+    @classmethod
+    def _intern(cls, kind, depth, base_color, inner, children, digest):
+        found = cls._pool.get(digest)
+        if found is not None:
+            return found
+        self = object.__new__(cls)
+        self.kind, self.depth, self.base_color = kind, depth, base_color
+        self.inner, self.children, self.digest = inner, children, digest
+        self.child_lookup = frozenset(c for c, _ in children)
+        self.child_size = sum(cnt for _, cnt in children)
+        return cls._pool.setdefault(digest, self)
+
+    @classmethod
+    def leaf(cls, kind, color):
+        if kind not in cls._kind_byte:
+            raise ValueError(f"unknown kind {kind!r}")
+        if not isinstance(color, int) or color < 1:
+            raise ValueError("colors are positive integers")
+        h = blake2b(digest_size=16)
+        h.update(b"L" + cls._kind_byte[kind])
+        h.update(b"%d" % color)
+        return cls._intern(kind, 0, color, None, (), h.digest())
+
+    @classmethod
+    def make(cls, kind, inner, children):
+        if kind not in cls._kind_byte:
+            raise ValueError(f"unknown kind {kind!r}")
+        if inner.kind != kind:
+            raise ValueError("inner view kind mismatch")
+        counts = {}
+        for entry in children:
+            if isinstance(entry, tuple):
+                child, cnt = entry
+                if not isinstance(cnt, int) or cnt < 1:
+                    raise ValueError("multiplicities are positive integers")
+            else:
+                child, cnt = entry, 1
+            if child.depth != inner.depth:
+                raise ValueError("child depth must equal inner depth")
+            if child.kind != kind:
+                raise ValueError("child view kind mismatch")
+            counts[child] = counts.get(child, 0) + cnt
+        if kind == SET:
+            items = tuple((c, 1) for c in sorted(counts, key=lambda v: v.digest))
+        else:
+            items = tuple(sorted(counts.items(), key=lambda kv: kv[0].digest))
+        h = blake2b(digest_size=16)
+        h.update(b"N" + cls._kind_byte[kind])
+        h.update(inner.digest)
+        for child, cnt in items:
+            h.update(child.digest)
+            h.update(b"%d," % cnt)
+        return cls._intern(kind, inner.depth + 1, None, inner, items, h.digest())
+
+
+class PairedViews:
+    """Checks each view against its oracle twin, and that the views are
+    one object exactly when their oracle digests agree."""
+
+    def __init__(self):
+        self.by_digest = {}
+        self.digest_of = {}
+
+    def check(self, view, twin):
+        assert view.digest == twin.digest
+        assert (view.kind, view.depth, view.base_color) == (twin.kind, twin.depth, twin.base_color)
+        assert [(c.digest, n) for c, n in view.children] == [(c.digest, n) for c, n in twin.children]
+        assert view.child_size == twin.child_size
+        assert sorted(c.digest for c in view.child_lookup) == sorted(c.digest for c in twin.child_lookup)
+        assert view.child_lookup == {c for c, _ in view.children}
+        assert self.by_digest.setdefault(twin.digest, view) is view
+        assert self.digest_of.setdefault(view, twin.digest) == twin.digest
+        if view.depth:
+            assert view.inner.digest == twin.inner.digest
+
+
+def oracle_extract_all_views(g, r, kind):
+    current = [OracleView.leaf(kind, c) for c in g.psi]
+    for _ in range(r):
+        current = [OracleView.make(kind, current[v], (current[u] for u in g.adjacency[v]))
+                   for v in range(g.n)]
+    return current
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 4), st.integers(0, 10**6),
+       st.sampled_from([SET, MULTISET]), st.integers(0, 3))
+def test_views_match_the_digest_keyed_oracle_on_random_trees(n, delta, seed, kind, r):
+    g = random_colored_tree(n, delta, 3, seed=seed)
+    paired = PairedViews()
+    for depth in range(r + 1):
+        for view, twin in zip(extract_all_views(g, depth, kind),
+                              oracle_extract_all_views(g, depth, kind), strict=True):
+            paired.check(view, twin)
+
+
+def child_lists(spec):
+    """Hand-built child lists: plain views and (view, count) pairs, with
+    some entries repeated, passed as a list, a tuple or a generator."""
+    entry = st.one_of(spec.map(lambda s: (s, None)),
+                      st.tuples(spec, st.integers(1, 3)))
+    with_repeats = st.lists(entry, max_size=4).flatmap(
+        lambda es: st.lists(st.sampled_from(es), max_size=3).map(lambda extra: es + extra)
+        if es else st.just(es))
+    return st.tuples(with_repeats, st.sampled_from(["list", "tuple", "generator"]))
+
+
+def view_specs(depth):
+    if depth == 0:
+        return st.integers(1, 4)
+    below = view_specs(depth - 1)
+    return st.tuples(below, child_lists(below))
+
+
+def build_spec(cls, kind, spec):
+    if isinstance(spec, int):
+        return cls.leaf(kind, spec)
+    inner, (entries, form) = spec
+    kids = [build_spec(cls, kind, s) if n is None else (build_spec(cls, kind, s), n)
+            for s, n in entries]
+    if form == "tuple":
+        kids = tuple(kids)
+    elif form == "generator":
+        kids = (k for k in kids)
+    return cls.make(kind, build_spec(cls, kind, inner), kids)
+
+
+def walk_twins(view, twin, paired):
+    paired.check(view, twin)
+    if view.depth:
+        walk_twins(view.inner, twin.inner, paired)
+        for (c, _), (t, _) in zip(view.children, twin.children, strict=True):
+            walk_twins(c, t, paired)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.sampled_from([SET, MULTISET]), st.integers(0, 2).flatmap(
+    lambda d: st.lists(view_specs(d), min_size=1, max_size=3)))
+def test_views_match_the_digest_keyed_oracle_on_hand_built_child_lists(kind, specs):
+    paired = PairedViews()
+    for spec in specs + specs:  # each spec twice: the second build is a hit
+        walk_twins(build_spec(View, kind, spec), build_spec(OracleView, kind, spec), paired)
+
+
+def test_multiplicities_tell_multisets_apart():
+    a, b, x = (leaf(MULTISET, c) for c in (2, 3, 1))
+    aab = View.make(MULTISET, x, [a, a, b])
+    abb = View.make(MULTISET, x, [a, b, b])
+    ab = View.make(MULTISET, x, [a, b])
+    assert len({aab, abb, ab}) == 3
+    assert len({v.digest for v in (aab, abb, ab)}) == 3
+    assert View.make(MULTISET, x, [(a, 2), b]) is aab
+    assert View.make(MULTISET, x, [b, (b, 1), a]) is abb
+    assert View.make(MULTISET, x, [(b, 1), (a, 1)]) is ab
+    sx, sa, sb = (leaf(SET, c) for c in (1, 2, 3))
+    assert View.make(SET, sx, [sa, sa, sb]) is View.make(SET, sx, [(sa, 2), sb, sb])
+
+
+def test_leaf_colors_intern_by_value():
+    assert View.leaf(SET, True) is View.leaf(SET, 1)
+    assert View.leaf(MULTISET, True) is View.leaf(MULTISET, 1)
+    assert View.leaf(SET, 1) is not View.leaf(MULTISET, 1)
+
+
+def oracle_twin(view):
+    """The oracle view of the same structure as view."""
+    if view.depth == 0:
+        return OracleView.leaf(view.kind, view.base_color)
+    return OracleView.make(view.kind, oracle_twin(view.inner),
+                           [(oracle_twin(c), n) for c, n in view.children])
+
+
+def test_make_errors_fire_when_the_same_parts_are_interned():
+    x, a, b = (leaf(MULTISET, c) for c in (1, 2, 3))
+    sx, sa = leaf(SET, 1), leaf(SET, 2)
+    View.make(MULTISET, x, [a, b])
+    View.make(MULTISET, x, [(a, 2), b])
+    View.make(MULTISET, x, [a])
+    View.make(SET, sx, [sa])
+    for kind, inner, children in [
+        ("bogus", x, [a, b]),  # unknown kind
+        (SET, x, [a, b]),  # inner kind mismatch
+        (MULTISET, x, [(a, 2.0), b]),  # multiplicities
+        (MULTISET, x, [(a, 2), (b, 1.0)]),
+        (MULTISET, x, [(a, 0)]),
+        (MULTISET, x, [(a, [2]), b]),
+        (SET, sx, [(sa, 1.0)]),
+        (SET, sx, [(sa, -1)]),
+        (MULTISET, x, [View.make(MULTISET, a, [])]),  # child depth
+        (MULTISET, x, [leaf(SET, 2)]),  # child kind mismatch
+    ]:
+        twins = [(oracle_twin(e[0]), e[1]) if isinstance(e, tuple) else oracle_twin(e)
+                 for e in children]
+        with pytest.raises(ValueError):
+            OracleView.make(kind, oracle_twin(inner), twins)
+        with pytest.raises(ValueError):
+            View.make(kind, inner, children)
+
+
+# digest.hex() of three views, recorded from the per-child blake2b updates
+GOLDEN_DIGESTS = {
+    "leaf": "9098a65aa8edefab49bcc777c11743a9",
+    "set depth 1": "a6cd4cdf1afc2504cf647f6abf5974b6",
+    "multiset depth 2": "3552b57fd8be33c14fca146d1020b8d7",
+}
+
+
+def test_golden_digests():
+    m = lambda c: leaf(MULTISET, c)  # noqa: E731
+    a = View.make(MULTISET, m(1), [(m(2), 2), m(3)])
+    b = View.make(MULTISET, m(2), [m(1)])
+    c = View.make(MULTISET, m(3), [m(1)])
+    got = {
+        "leaf": leaf(SET, 1),
+        "set depth 1": View.make(SET, leaf(SET, 2), [leaf(SET, 1), leaf(SET, 3)]),
+        "multiset depth 2": View.make(MULTISET, a, [(b, 2), c]),
+    }
+    assert {name: v.digest.hex() for name, v in got.items()} == GOLDEN_DIGESTS
+    assert got["multiset depth 2"].child_size == 3
