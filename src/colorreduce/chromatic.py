@@ -5,14 +5,18 @@ anything larger should go through the DIMACS export and an external
 solver.  Budgets are counted in node expansions (color assignments
 tried) rather than wall time, so identical calls give identical results.
 
-The search relabels vertices by static rank (degree descending, then
-index) and works on int bitmasks over ranks: one neighborhood mask per
-vertex, one mask per color of the ranks it saturates, and one mask per
-saturation level of the uncolored ranks (DSATUR, Brelaz 1979).  An
-expansion or its undo costs a few big-int ANDs per saturation level, not
-a walk over the vertex's neighbors; the masks take n*n/8 bytes.  The
-branching order, and with it every expansion count, witness and budget
-outcome, is that of the plain saturation-greedy scan.
+Every entry point takes its graph through as_adjacency, which returns
+the neighbor rows of an NbhdGraph or ColoredGraph as they are (no row
+is copied) and checks plain rows once.  The search relabels vertices by
+static rank (degree descending, then index) and works on int bitmasks
+over ranks: one neighborhood mask per vertex, one mask per color of the
+ranks it saturates, and one mask per saturation level of the uncolored
+ranks (DSATUR, Brelaz 1979).  An expansion or its undo costs a few
+big-int ANDs per saturation level, not a walk over the vertex's
+neighbors; the masks take n*n/8 bytes, and the greedy clique grows on
+the same masks.  The branching order, and with it every expansion
+count, witness and budget outcome, is that of the plain
+saturation-greedy scan.
 """
 
 from __future__ import annotations
@@ -27,15 +31,27 @@ from .nbhd import NbhdGraph
 from .views import View, canonical_encode
 
 
-def as_adjacency(g) -> list[set[int]]:
-    """Adapt NbhdGraph, ColoredGraph, or a plain neighbor-list structure.
+class _Rows(tuple):
+    """Checked neighbor rows: row v is a sorted tuple of v's neighbors,
+    each in [0, n), none equal to v, and u is in row v exactly when v is
+    in row u."""
 
-    The rows of the two graph types are taken as they are (their
-    constructors make them loop-free and symmetric).  Plain rows must
-    name vertices in range, hold no self-loop and be symmetric, or
-    ParameterError is raised."""
+    __slots__ = ()
+
+
+def as_adjacency(g) -> _Rows:
+    """The one checked graph input of the solver.
+
+    The rows of NbhdGraph and ColoredGraph are wrapped as they are, with
+    no row copied (their constructors make them sorted, loop-free and
+    symmetric), and a _Rows comes back unchanged.  Plain rows must name
+    vertices in range, hold no self-loop and be symmetric, or
+    ParameterError is raised; they come back as sorted tuples without
+    repeats."""
+    if isinstance(g, _Rows):
+        return g
     if isinstance(g, (NbhdGraph, ColoredGraph)):
-        return [set(nbrs) for nbrs in g.adjacency]
+        return _Rows(g.adjacency)
     adj = [set(nbrs) for nbrs in g]
     n = len(adj)
     for v, nbrs in enumerate(adj):
@@ -46,7 +62,7 @@ def as_adjacency(g) -> list[set[int]]:
                 raise ParameterError(f"vertex {v} has a self-loop")
             if v not in adj[u]:
                 raise ParameterError(f"edge {v}-{u} is listed only at {v}")
-    return adj
+    return _Rows(tuple(sorted(nbrs)) for nbrs in adj)
 
 
 @dataclass(frozen=True)
@@ -67,9 +83,9 @@ class _RankSpace:
 
     order[r] is the vertex of rank r and rank[v] the rank of vertex v.
     masks[r] holds the ranks of r's neighbors as the bits of one int; it
-    is built on first use and takes n*n/8 bytes.  chi_exact builds one
-    rank space and shares it with its greedy clique, its saturation-greedy
-    coloring and every k-search.
+    is built from the rows on first use and takes n*n/8 bytes.  chi_exact
+    builds one rank space and shares its masks with its greedy clique,
+    its saturation-greedy coloring and every k-search.
     """
 
     def __init__(self, adj):
@@ -95,31 +111,28 @@ class _RankSpace:
         return masks
 
 
-def greedy_clique(adj: list[set[int]]) -> list[int]:
-    """Best clique over greedy growth from every seed vertex, on rows as
-    as_adjacency returns them.  The candidates never hold a vertex of the
-    clique, so growth ends on any rows, looped ones included."""
-    return _greedy_clique(_RankSpace(adj))
+def greedy_clique(g) -> list[int]:
+    """Best clique over greedy growth from every seed vertex.  Seeds go
+    in rank order, and each step adds the lowest-ranked candidate, the
+    largest (degree, -index); the growth runs on the rank-space masks."""
+    return _greedy_clique(_RankSpace(as_adjacency(g)))
 
 
 def _greedy_clique(space: _RankSpace) -> list[int]:
-    # seeds in rank order, and each step adds the lowest-ranked candidate,
-    # the largest (degree, -index); keyed by rank on the original sets,
-    # because relabelling every set costs more than the greedy growth
-    adj, by_rank = space.adj, space.rank.__getitem__
-    best: list[int] = []
-    for seed in space.order:
+    # the lowest set bit of the candidates is the lowest-ranked candidate;
+    # a rank's own bit is cleared as it joins, so growth always ends
+    masks, best = space.masks, []
+    for seed, mask in enumerate(masks):
         clique = [seed]
-        candidates = set(adj[seed])
-        candidates.discard(seed)
+        candidates = mask & ~(1 << seed)
         while candidates:
-            v = min(candidates, key=by_rank)
-            clique.append(v)
-            candidates &= adj[v]
-            candidates.discard(v)
+            low = candidates & -candidates
+            r = low.bit_length() - 1
+            clique.append(r)
+            candidates = (candidates ^ low) & masks[r]
         if len(clique) > len(best):
             best = clique
-    return sorted(best)
+    return sorted(space.order[r] for r in best)
 
 
 def embedded_clique(graph: NbhdGraph) -> list[int] | None:
@@ -139,10 +152,10 @@ def embedded_clique(graph: NbhdGraph) -> list[int] | None:
     return sorted(members)
 
 
-def clique_lower_bound(g, adj=None) -> int:
+def clique_lower_bound(g) -> int:
     """Size of the greedy clique, raised to the planted clique of a
     level-1 neighborhood graph when that is larger."""
-    return _clique_bound(g, _RankSpace(as_adjacency(g) if adj is None else adj))
+    return _clique_bound(g, _RankSpace(as_adjacency(g)))
 
 
 def _clique_bound(g, space: _RankSpace) -> int:
@@ -151,7 +164,7 @@ def _clique_bound(g, space: _RankSpace) -> int:
     return lower if planted is None else max(lower, len(planted))
 
 
-def _bipartition(adj: list[set[int]]) -> list[int] | None:
+def _bipartition(adj: _Rows) -> list[int] | None:
     n = len(adj)
     colors = [0] * n
     for start in range(n):
@@ -267,7 +280,7 @@ def _search_k_coloring(adj, k: int, budget: _Budget, space: _RankSpace | None = 
             return "no", None
 
 
-def dsatur(adj: list[set[int]]) -> tuple[list[int], int]:
+def dsatur(g) -> tuple[list[int], int]:
     """Deterministic saturation-greedy coloring; returns (colors, count).
 
     Branching order: highest saturation, ties by degree then index.  This
@@ -275,6 +288,7 @@ def dsatur(adj: list[set[int]]) -> tuple[list[int], int]:
     smallest free color (at most max_used + 1) always fits, so the search
     never backtracks and spends exactly n expansions.
     """
+    adj = as_adjacency(g)
     return _dsatur(adj, _RankSpace(adj))
 
 

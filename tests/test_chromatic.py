@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,8 @@ import colorreduce
 from colorreduce import (MULTISET, SET, ConstructionError, ParameterError,
                          build_local1, build_relaxed, build_setlocal, chi_exact,
                          dsatur, embedded_clique, export_dimacs, greedy_clique,
-                         is_k_colorable, read_dimacs)
-from colorreduce.chromatic import (_Budget, _check_witness, _decide_k,
+                         is_k_colorable, random_colored_tree, read_dimacs)
+from colorreduce.chromatic import (_Budget, _check_witness, _decide_k, _Rows,
                                    _search_k_coloring, as_adjacency,
                                    clique_lower_bound)
 
@@ -253,8 +254,9 @@ def oracle_bucket_search(adj, k, budget):
 
 
 def oracle_greedy_clique(adj):
-    """Greedy clique growth on the original neighbor sets, ordered by a
-    (-degree, index) key, which the rank-keyed version replaced."""
+    """Greedy clique growth on neighbor sets, ordered by a (-degree,
+    index) key, which the growth on rank-space masks replaced; it takes
+    sets or tuples as rows."""
     degree = [len(s) for s in adj]
     order_key = lambda v: (-degree[v], v)
     best = []
@@ -264,7 +266,7 @@ def oracle_greedy_clique(adj):
         while candidates:
             v = min(candidates, key=order_key)
             clique.append(v)
-            candidates &= adj[v]
+            candidates &= set(adj[v])
         if len(clique) > len(best):
             best = clique
     return sorted(best)
@@ -377,16 +379,12 @@ def test_greedy_clique_finds_triangle():
 
 
 def test_greedy_clique_ends_on_looped_rows():
-    # greedy_clique takes rows unchecked; a child process turns growth
-    # that never ends into a timeout instead of a stalled suite
-    src = str(Path(colorreduce.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from colorreduce import greedy_clique\n"
-         "print(greedy_clique([{0}, set()]), greedy_clique([{0, 1}, {0, 1}]))"],
-        capture_output=True, text=True, timeout=30, env={"PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0]", "[0,", "1]"]
+    # both functions take their rows through as_adjacency's check; dsatur
+    # used to return the improper coloring ([1, 1], 1) on the first input
+    for rows in ([{0}, set()], [{0, 1}, {0, 1}]):
+        for solve in (greedy_clique, dsatur):
+            with pytest.raises(ParameterError, match="self-loop"):
+                solve(rows)
 
 
 def test_dsatur_witness_proper():
@@ -453,11 +451,43 @@ def test_plain_rows_rejected_before_solving(rows, problem, monkeypatch, tmp_path
 
     monkeypatch.setattr(colorreduce.chromatic, "_greedy_clique", no_growth)
     for call in (lambda: as_adjacency(rows), lambda: chi_exact(rows),
+                 lambda: greedy_clique(rows), lambda: dsatur(rows),
                  lambda: clique_lower_bound(rows), lambda: is_k_colorable(rows, 2),
                  lambda: is_k_colorable(rows, len(rows)),
                  lambda: export_dimacs(rows, tmp_path / "g.col")):
         with pytest.raises(ParameterError, match=problem):
             call()
+
+
+def test_graph_rows_taken_as_they_are(host_7_4):
+    tree = random_colored_tree(200, 4, 9, seed=3)
+    for g in (host_7_4, tree):
+        rows = as_adjacency(g)
+        assert len(rows) == len(g.adjacency)
+        assert all(row is own for row, own in zip(rows, g.adjacency))
+
+
+def test_checked_rows_are_immutable_and_not_checked_twice():
+    rows = as_adjacency(TRIANGLE)
+    assert type(rows) is _Rows and as_adjacency(rows) is rows
+    assert rows == ((1, 2), (0, 2), (0, 1))
+    assert as_adjacency([[2, 1, 1], [0], [0]]) == ((1, 2), (0,), (0,))
+    with pytest.raises(TypeError):
+        rows[0] = (1,)
+    with pytest.raises(AttributeError):
+        rows.extra = 1
+
+
+def test_chi_exact_local1_74_peak_memory(host_7_4):
+    # the rows are the host's own tuples and the masks take n*n/8 bytes
+    # (270 kB here); a set copy of the rows alone took about 15 MB
+    tracemalloc.start()
+    try:
+        chi_exact(host_7_4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("k", [3, 4])
