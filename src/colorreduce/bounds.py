@@ -316,10 +316,9 @@ def uncovered_clique_step(T, next_class_sets, level_graph: NbhdGraph,
         remaining.remove(t_j)
 
     out = []
-    gi = {v: i for i, v in enumerate(level_graph.vertices)}
     for t_j, owning in zip(centers, witnesses_for):
         a_set = set(T) - {t_j}
-        neighborhood = [level_graph.vertices[j] for j in level_graph.adjacency[gi[t_j]]]
+        neighborhood = level_graph.neighbor_views(t_j)
         for k in owning:
             seen = cover_by_class[k].get(t_j, ())
             b = next((w for w in neighborhood if w not in seen), None)
@@ -400,9 +399,7 @@ def refute_relaxed(classes, r: int, m: int, bound: int, levels=None, cap=None) -
     result = clique[0]
 
     # re-verify off the construction path
-    gi = levels[r - 1]
-    center_idx = gi.vertex_index(result.inner)
-    allowed = set(gi.vertices[j] for j in gi.adjacency[center_idx])
+    allowed = set(levels[r - 1].neighbor_views(result.inner))
     if not set(result.distinct_children()) <= allowed:
         raise ConstructionError("result neighbors are not neighbors of its center")
     if result.child_size > bound:

@@ -4,11 +4,16 @@ Every vertex is a recursive (center, neighbor-collection) pair represented
 as a View: level 0 is a bare color, level r+1 pairs a level-r vertex with
 a collection of level-r vertices.  Four families share the same edge rule
 -- {(x,A),(y,B)} is an edge iff x is in B and y is in A; level 0 is the
-complete graph on the m colors:
+complete graph on the m colors.  A level-0 vertex has center and only
+type BOTTOM, which is None, a leaf's inner.  One expansion builds every
+level of every family: level i+1 takes each vertex x of level i and
+each collection A of at most the bound of x's level-i neighbors, subsets
+under set delivery and multisets under multiset delivery:
 
-* local1:   one-round full-information graph; (x, A) for every
-            neighbor-color collection A over [m]\\{x} with |A| <= delta
-            (multiset variant) or every subset (set variant).
+* local1:   one-round full-information graph, level 1 of that expansion:
+            (x, A) for every neighbor-color collection A over [m]\\{x}
+            with |A| <= delta (multiset variant) or every subset (set
+            variant).
 * relaxed:  level i+1 takes any subset A of a vertex's level-i neighbors
             with |A| <= D, no further restriction.
 * typed:    additionally requires the neighbor set to realize every type
@@ -54,9 +59,11 @@ its own row only through (x, x), that is when x is in A, and is dropped
 there.  An independence check keeps one set of the keys seen and stops
 at the first key whose reverse is already in it.
 
-The recursive families blow up exponentially; builders project their
-vertex count first and refuse to exceed an explicit cap, which also
-bounds the number of edges they wire.
+The recursive families blow up exponentially; builders project each
+level's vertex count first and refuse to exceed an explicit cap, which
+also bounds the number of edges they wire.  The projection counts every
+collection the expansion walks, so it is exact where no filter runs
+(local1, relaxed, setlocal level 1) and an upper bound where one does.
 """
 
 from __future__ import annotations
@@ -78,26 +85,12 @@ RELAXED = "relaxed"
 TYPED = "typed"
 
 
-class _Bottom:
-    """Sentinel center/type of level-0 vertices."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "<bottom>"
-
-
-BOTTOM = _Bottom()
+BOTTOM = None  # the center and only type of a level-0 vertex: a leaf's inner
 
 
 def center(v: View):
     """The first component of (x, A); BOTTOM for level-0 vertices."""
-    return v.inner if v.depth >= 1 else BOTTOM
+    return v.inner
 
 
 def types(v: View) -> frozenset:
@@ -243,54 +236,49 @@ def _subset_count(options: int, max_size: int) -> int:
 
 def build_local1(m: int, delta: int, variant=MULTISET, cap: int = DEFAULT_CAP) -> NbhdGraph:
     """One-round graph: all (x, A) with A over [m]\\{x}, |A| <= delta,
-    including the empty A; multiset or plain-subset neighbor collections."""
+    including the empty A; multiset or plain-subset neighbor collections.
+    It is level 1 over the complete graph on the m colors."""
     if not (m > delta >= 2):
         raise ParameterError(f"need m > delta >= 2, got m={m}, delta={delta}")
-    if variant == MULTISET:
-        projected = m * _multiset_count(m - 1, delta)
-    elif variant == SET:
-        projected = m * _subset_count(m - 1, delta)
-    else:
+    if variant not in (SET, MULTISET):
         raise ParameterError(f"unknown variant {variant!r}")
-    if projected > cap:
-        raise CapExceededError(projected, cap)
-    leaves = {c: View.leaf(variant, c) for c in range(1, m + 1)}
-    vertices = []
-    for x in range(1, m + 1):
-        others = [leaves[c] for c in range(1, m + 1) if c != x]
-        chooser = combinations_with_replacement if variant == MULTISET else combinations
-        for k in range(delta + 1):
-            for combo in chooser(others, k):
-                vertices.append(View.make(variant, leaves[x], combo))
-    return _finish(LOCAL1, m, delta, 1, variant, vertices, cap)
+    return _build_levels(LOCAL1, 1, m, delta, cap, variant)[-1]
 
 
 def _expand_level(prev: NbhdGraph, bound: int, cap: int) -> NbhdGraph:
-    projected = sum(
-        _subset_count(len(prev.adjacency[i]), bound) for i in range(prev.n_vertices)
-    )
-    if projected > cap:
-        raise CapExceededError(projected, cap,
-                               what=f"level-{prev.level + 1} vertices (upper bound)")
+    """Level prev.level + 1: every (x, A) with x a vertex of prev and A a
+    collection of at most `bound` of x's neighbors in prev, of prev's
+    kind (subsets for SET, multisets for MULTISET), kept by the typed
+    filter where it applies."""
+    if prev.variant == MULTISET:
+        chooser, count = combinations_with_replacement, _multiset_count
+    else:
+        chooser, count = combinations, _subset_count
     # setlocal's level 1 keeps every A, as a star realizes it; above
     # level 1 the filter is exact for setlocal too
     filtered = prev.family == TYPED or (prev.family == SETLOCAL and prev.level >= 1)
+    projected = sum(count(len(row), bound) for row in prev.adjacency)
+    if projected > cap:
+        raise CapExceededError(
+            projected, cap, what=f"level-{prev.level + 1} vertices"
+            + (" (upper bound)" if filtered else ""))
     vertices = []
     for i, x in enumerate(prev.vertices):
         nbr_views = [prev.vertices[j] for j in prev.adjacency[i]]
         required = types(x) if filtered else None
-        for k in range(min(bound, len(nbr_views)) + 1):
-            for combo in combinations(nbr_views, k):
+        for k in range(bound + 1):
+            for combo in chooser(nbr_views, k):
                 if filtered and centers_of(combo) != required:
                     continue
-                vertices.append(View.make(SET, x, combo))
-    return _finish(prev.family, prev.m, bound, prev.level + 1, SET, vertices, cap)
+                vertices.append(View.make(prev.variant, x, combo))
+    return _finish(prev.family, prev.m, bound, prev.level + 1, prev.variant, vertices, cap)
 
 
-def _build_levels(family: str, r: int, m: int, d: int, cap: int) -> list[NbhdGraph]:
+def _build_levels(family: str, r: int, m: int, d: int, cap: int,
+                  kind=SET) -> list[NbhdGraph]:
     if r < 0 or m < 2 or d < 1:
         raise ParameterError("need r >= 0, m >= 2, d >= 1")
-    levels = [_finish(family, m, d, 0, SET, _clique_vertices(m, SET), cap)]
+    levels = [_finish(family, m, d, 0, kind, _clique_vertices(m, kind), cap)]
     for _ in range(r):
         levels.append(_expand_level(levels[-1], d, cap))
     return levels
@@ -377,6 +365,18 @@ def verify_homomorphism(hom: HomMap) -> HomReport:
     return HomReport(tuple(missing), tuple(broken))
 
 
+def _verified(hom: HomMap, what: str) -> HomMap:
+    """hom itself once verify_homomorphism passes it; a failure is a
+    ConstructionError, since both builders are exact by construction."""
+    report = verify_homomorphism(hom)
+    if not report.ok:
+        raise ConstructionError(
+            f"{what} verification failed: {len(report.missing_images)} "
+            f"missing images, {len(report.broken_edges)} broken edges"
+        )
+    return hom
+
+
 def typed_to_setlocal_hom(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> HomMap:
     """Map the typed family into the realizable-view graph; verified
     before returning.
@@ -392,13 +392,7 @@ def typed_to_setlocal_hom(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> Hom
     codomain = build_setlocal(r, m, d, cap)
     hom = HomMap(domain, codomain, {v: v for v in domain.vertices},
                  name=f"typed->setlocal[{r},{m},{d}]")
-    report = verify_homomorphism(hom)
-    if not report.ok:
-        raise ConstructionError(
-            f"typed->setlocal verification failed: {len(report.missing_images)} "
-            f"missing images, {len(report.broken_edges)} broken edges"
-        )
-    return hom
+    return _verified(hom, "typed->setlocal")
 
 
 def relaxed_to_typed_hom(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> HomMap:
@@ -446,17 +440,11 @@ def relaxed_to_typed_hom(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> HomM
 
     hom = HomMap(domain_levels[r], typed_levels[r], maps[r],
                  name=f"relaxed->typed[{r},{m},{d}]")
-    report = verify_homomorphism(hom)
-    if not report.ok:
-        raise ConstructionError(
-            f"relaxed->typed verification failed: {len(report.missing_images)} "
-            f"missing images, {len(report.broken_edges)} broken edges"
-        )
-    return hom
+    return _verified(hom, "relaxed->typed")
 
 
 def _type_sort_key(t):
-    return b"" if t is BOTTOM else canonical_encode(t)
+    return b"" if t is None else canonical_encode(t)
 
 
 def graph_to_json(graph: NbhdGraph) -> dict:

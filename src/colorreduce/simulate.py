@@ -72,7 +72,13 @@ class ColorRounds:
     __slots__ = ("rounds",)
 
     def __init__(self, rounds):
-        self.rounds = tuple(rounds)
+        object.__setattr__(self, "rounds", tuple(rounds))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ColorRounds is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ColorRounds is immutable; cannot delete {name!r}")
 
     def init(self, color, m, delta, n):
         return (0, color)

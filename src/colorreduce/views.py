@@ -47,6 +47,12 @@ class View:
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use View.leaf(...) or View.make(...)")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"View is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"View is immutable; cannot delete {name!r}")
+
     @classmethod
     def _intern(cls, key, kind, depth, base_color, inner, children, lookup, digest):
         self = object.__new__(cls)

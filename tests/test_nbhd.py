@@ -15,7 +15,7 @@ from colorreduce import (BOTTOM, CapExceededError, ColoredGraph, HomMap,
                          chi_exact, class_defect, extract_all_views,
                          is_independent, mutual_edge, relaxed_to_typed_hom,
                          typed_to_setlocal_hom, types, verify_homomorphism)
-from colorreduce.nbhd import _wire
+from colorreduce.nbhd import DEFAULT_CAP, _wire
 
 
 def leaf(kind, c):
@@ -35,6 +35,55 @@ def oracle_local1_count(m, delta, multiset):
         for k in range(delta + 1):
             total += sum(1 for _ in chooser(others, k))
     return total
+
+
+def oracle_local1_vertices(m, delta, variant):
+    """The one-round vertices (x, A) enumerated directly over the colors,
+    in color order, without the level builder."""
+    leaves = {c: View.leaf(variant, c) for c in range(1, m + 1)}
+    vertices = []
+    for x in range(1, m + 1):
+        others = [leaves[c] for c in range(1, m + 1) if c != x]
+        chooser = combinations_with_replacement if variant == MULTISET else combinations
+        for k in range(delta + 1):
+            for combo in chooser(others, k):
+                vertices.append(View.make(variant, leaves[x], combo))
+    return vertices
+
+
+@pytest.mark.parametrize("m,delta", [(3, 2), (4, 2), (5, 3), (6, 4), (7, 4), (10, 3)])
+@pytest.mark.parametrize("variant", [SET, MULTISET])
+def test_local1_matches_direct_enumeration(m, delta, variant):
+    # from m = 10 on, "S0(10)" sorts before "S0(2)": the builder walks
+    # leaves in encoding order, the oracle in color order
+    g = build_local1(m, delta, variant)
+    listed = oracle_local1_vertices(m, delta, variant)
+    assert len(set(listed)) == len(listed) == oracle_local1_count(m, delta, variant == MULTISET)
+    ordered = tuple(sorted(listed, key=canonical_encode))
+    assert g.vertices == ordered
+    assert g.adjacency == _wire(ordered, g.n_edges)
+    assert (g.family, g.level, g.degree_param, g.variant) == ("local1", 1, delta, variant)
+
+
+def test_cap_refusal_says_upper_bound_only_where_filtered():
+    # unfiltered levels walk exactly the collections they keep
+    for build, built in ((lambda cap: build_local1(7, 4, MULTISET, cap=cap), 1470),
+                         (lambda cap: build_local1(7, 4, SET, cap=cap), 399),
+                         (lambda cap: build_relaxed(2, 3, 2, cap=cap), 60),
+                         (lambda cap: build_setlocal(1, 4, 3, cap=cap), 32)):
+        assert build(DEFAULT_CAP).n_vertices == built
+        with pytest.raises(CapExceededError) as err:
+            build(built - 1)
+        assert err.value.projected == built
+        assert "vertices" in str(err.value) and "upper bound" not in str(err.value)
+    # the typed filter drops some of what the projection counts
+    for build, projected in ((lambda cap: build_setlocal(2, 3, 3, cap=cap), 72),
+                             (lambda cap: build_typed(1, 4, 3, cap=cap), 32)):
+        assert build(DEFAULT_CAP).n_vertices < projected
+        with pytest.raises(CapExceededError) as err:
+            build(projected - 1)
+        assert err.value.projected == projected
+        assert "vertices (upper bound)" in str(err.value)
 
 
 def test_local1_counts():

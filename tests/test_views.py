@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorreduce import (MULTISET, SET, ColoredGraph, View, canonical_decode,
-                         canonical_encode, erase_multiplicities,
+from colorreduce import (MULTISET, SET, ColoredGraph, ColorRounds, View,
+                         canonical_decode, canonical_encode, erase_multiplicities,
                          extract_all_views, extract_view, random_colored_tree,
                          truncate, view_from_json, view_to_json, views)
 
@@ -573,3 +573,21 @@ def test_golden_digests():
     }
     assert {name: v.digest.hex() for name, v in got.items()} == GOLDEN_DIGESTS
     assert got["multiset depth 2"].child_size == 3
+
+
+def test_views_and_color_programs_refuse_assignment_and_deletion():
+    pooled = leaf(SET, 1)
+    deep = View.make(SET, View.make(SET, pooled, [leaf(SET, 2)]),
+                     [View.make(SET, leaf(SET, 2), [pooled])])
+    program = ColorRounds([(lambda color, seen: color, 0)])
+    rounds = program.rounds
+    for obj, name in ((pooled, "depth"), (pooled, "base_color"), (deep, "inner"),
+                      (deep, "children"), (program, "rounds")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert leaf(SET, 1) is pooled
+    assert (pooled.depth, pooled.base_color, pooled.inner) == (0, 1, None)
+    assert deep.depth == 2 and deep.inner.inner is pooled
+    assert program.rounds is rounds
