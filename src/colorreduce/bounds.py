@@ -13,13 +13,18 @@ testable against heuristic colorings and adversarial families alike.
 All tie-breaking follows the canonical vertex order, so counterexamples
 are reproducible.
 
-Every source notion here is one predicate over one map.  The cover of a
-class sends each center x to the union of the neighbor collections of
-the members centered at x, and x is a source within W iff W minus x lies
-inside cover(x).  `sources`, the clique step, the d = 0 part of
-`defective_sources` and the orientations all ask exactly that; the
-orientation of a class is its color cover completed low -> high on the
-pairs the class leaves undemanded.
+Every refuter runs one counting step.  `_first_uncovered` drops the
+classes' global sources and takes the first remaining candidates as a
+clique T; `_least_owned` picks the member of T that is a T-source for the
+fewest classes (pigeonhole); the classes that own it are then blocked.
+Every source notion is one predicate over one map.  The cover of a class
+sends each center x to the union of the neighbor collections of the
+members centered at x, and x is a (d, W)-source iff `_blocking_set` finds
+no nonempty B inside W minus x, |B| <= d+1, that no member centered at x
+contains.  Singletons are tested against cover(x), so with d = 0 (all of
+`sources`, the clique step and the orientations) x is a source iff W
+minus x lies inside cover(x).  The orientation of a class is its color
+cover completed low -> high on the pairs the class leaves undemanded.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -85,13 +90,16 @@ def class_defect(nodes) -> int:
     return defect
 
 
+_color = attrgetter("base_color")
+
+
 def _cover(class_nodes, m=None) -> dict:
     """Center -> union of the distinct children of the members centered
     there, both read as colors in [1, m] when m is given (level-1 code
     compares colors, not views, so its members must be one-round vertices)."""
     cover: dict = {}
     for node in class_nodes:
-        x, children = node.inner, node.distinct_children()
+        x, children = node.inner, node.child_lookup
         if m is not None:
             if node.depth != 1:
                 raise ParameterError(f"class member {node!r} is not a one-round vertex")
@@ -104,16 +112,66 @@ def _cover(class_nodes, m=None) -> dict:
     return cover
 
 
-def _is_source(cover, x, within) -> bool:
-    """x is a source within W iff W minus x lies inside cover(x)."""
+def _member_sets(class_nodes) -> dict:
+    """Center color -> the neighbor-color sets of the class members
+    centered there (members already checked by `_cover` with m)."""
+    out: dict = {}
+    for node in class_nodes:
+        out.setdefault(node.inner.base_color, []).append(set(map(_color, node.child_lookup)))
+    return out
+
+
+def _blocking_set(cover, x, within, d=0, members=None):
+    """The first nonempty B inside `within` minus x, |B| <= d+1, that no
+    class member centered at x contains, as a tuple; None iff x is a
+    (d, W)-source.  Singletons come first, in the order of `within`, and
+    are tested against cover(x); larger B (which need the `members` map
+    of `_member_sets`) follow in combination order."""
     seen = cover.get(x, ())
     for w in within:
         if w not in seen and w != x:
-            return False
-    return True
+            return (w,)
+    if d:
+        sets = members.get(x, ())
+        rest = [w for w in within if w != x]
+        for size in range(2, d + 2):
+            for B in combinations(rest, size):
+                if not any(s.issuperset(B) for s in sets):
+                    return B
+    return None
 
 
-_color = attrgetter("base_color")
+def _first_uncovered(candidates, source_sets, size: int, per_class: int) -> list:
+    """The first `size` candidates that are no class's global source, where
+    `source_sets[k]` holds class k's and may hold at most per_class."""
+    for k, found in enumerate(source_sets):
+        if len(found) > per_class:
+            raise ConstructionError(
+                f"class {k} has {len(found)} global sources; the counting bound allows {per_class}")
+    banned = set().union(*source_sets)
+    T = list(islice((v for v in candidates if v not in banned), size))
+    if len(T) < size:
+        raise ConstructionError("fewer uncovered candidates than the counting argument allows")
+    return T
+
+
+def _least_owned(group, source_sets, per_class: int):
+    """(x, owning): the earliest member x of `group` that the fewest classes
+    own as a group-source, and those classes.  `source_sets[k]` holds class
+    k's group-sources, at most per_class of them, so pigeonhole puts at
+    most c * per_class / |group| classes on x."""
+    for k, found in enumerate(source_sets):
+        if len(found) > per_class:
+            raise ConstructionError(f"class {k} has {len(found)} sources in a clique; "
+                                    f"the counting bound allows {per_class}")
+    counts = []
+    for i, x in enumerate(group):
+        owning = [k for k, found in enumerate(source_sets) if x in found]
+        counts.append((len(owning), i, owning))
+    q, i, owning = min(counts)
+    if q * len(group) > len(source_sets) * per_class:
+        raise ConstructionError("pigeonhole bound on clique sources failed")
+    return group[i], owning
 
 
 # --- orientations (one-round machinery) ----------------------------------
@@ -136,7 +194,7 @@ class Orientation:
         return y in self.heads.get(x, ())
 
     def is_source_within(self, x: int, within) -> bool:
-        return _is_source(self.heads, x, within)
+        return _blocking_set(self.heads, x, within) is None
 
 
 def orientation_of(class_nodes, m: int) -> Orientation:
@@ -155,22 +213,58 @@ def orientation_of(class_nodes, m: int) -> Orientation:
     return Orientation(m, MappingProxyType(heads))
 
 
-def _infer_kind(classes, fallback=MULTISET):
+def _infer_kind(classes):
     for cl in classes:
         for member in cl:
             return member.kind
-    return fallback
+    return MULTISET
+
+
+def _one_round_node(classes, kind, m: int, delta: int, per_class: int,
+                    is_source, blocker) -> View:
+    """The counting step on colors that both one-round refuters run.
+
+    `is_source(k, x, W)` is class k's source test, with at most per_class
+    sources inside any clique of colors, and `blocker(k, x)` gives colors
+    that keep (x, A) out of class k once A holds them.  T is the first
+    floor(delta/2)+1 colors that are no class's global source, x the member
+    of T owned as a T-source by the fewest classes, and A is T\\{x} plus one
+    blocker per owning class.  |A| stays strictly below delta.
+    """
+    colors, c = range(1, m + 1), len(classes)
+    T = _first_uncovered(
+        colors, [[x for x in colors if is_source(k, x, colors)] for k in range(c)],
+        delta // 2 + 1, per_class)
+    x, owning = _least_owned(T, [[y for y in T if is_source(k, y, T)] for k in range(c)],
+                             per_class)
+    a_set = set(T) - {x}
+    for k in owning:
+        block = blocker(k, x)
+        if block is None:
+            raise ConstructionError(f"class {k}: no blocker although {x} is not a global source")
+        a_set.update(block)
+    if len(a_set) >= delta:
+        raise ConstructionError("constructed neighbor set reached delta; size bound failed")
+
+    node = View.make(kind, View.leaf(kind, x),
+                     (View.leaf(kind, y) for y in sorted(a_set)))
+    # independent re-verification, off the construction path
+    for k in range(c):
+        if is_source(k, x, a_set):
+            raise ConstructionError(f"result is covered by class {k}")
+        if any(node is member for member in classes[k]):
+            raise ConstructionError(f"result is a member of class {k}")
+    return node
 
 
 def uncovered_local1_node(classes, m: int, delta: int, kind=None) -> View:
     """A one-round vertex (x, A) covered by none of <= delta^2/4 classes.
 
-    Construction: drop the <= c global sources, take the first
-    floor(delta/2)+1 remaining colors as T, pick the x in T that is a
-    T-source for the fewest classes (at most c/|T| by pigeonhole), start
-    A as T\\{x}, and add one inward-pointing witness color per surviving
-    class.  |A| stays strictly below delta.  The result uses the class
-    members' view kind (multiset when the classes are empty).
+    Runs `_one_round_node` with each class's orientation: a tournament, so
+    at most one source per clique, and x in T owned by at most c/|T|
+    classes.  Each owning class is blocked by its first color pointing
+    into x.  The result uses the class members' view kind (multiset when
+    the classes are empty).
     """
     classes = [list(cl) for cl in classes]
     if kind is None:
@@ -182,45 +276,14 @@ def uncovered_local1_node(classes, m: int, delta: int, kind=None) -> View:
         raise ParameterError(f"need m >= delta^2/4 + delta/2 + 1, got m={m}, delta={delta}")
     orientations = [orientation_of(cl, m) for cl in classes]
 
-    all_colors = range(1, m + 1)
-    t_size = delta // 2 + 1
-    T = []
-    for x in all_colors:
-        if any(o.is_source_within(x, all_colors) for o in orientations):
-            continue
-        T.append(x)
-        if len(T) == t_size:
-            break
-    if len(T) < t_size:
-        raise ConstructionError("fewer non-source colors than the counting argument allows")
+    def is_source(k, x, within):
+        return orientations[k].is_source_within(x, within)
 
-    counts = []
-    for x in T:
-        owning = [k for k, o in enumerate(orientations) if o.is_source_within(x, T)]
-        counts.append((len(owning), x, owning))
-    q, x, owning = min(counts)
-    if q * t_size > c:
-        raise ConstructionError("pigeonhole bound on T-sources failed")
+    def inward(k, x):
+        oriented = orientations[k].oriented
+        return next(((y,) for y in range(1, m + 1) if y != x and oriented(y, x)), None)
 
-    a_set = set(T) - {x}
-    for k in owning:
-        o = orientations[k]
-        y_k = next((y for y in all_colors if y != x and o.oriented(y, x)), None)
-        if y_k is None:
-            raise ConstructionError(f"class {k}: no inward edge although {x} is not a source")
-        a_set.add(y_k)
-    if len(a_set) >= delta:
-        raise ConstructionError("constructed neighbor set reached delta; size bound failed")
-
-    node = View.make(kind, View.leaf(kind, x),
-                     (View.leaf(kind, y) for y in sorted(a_set)))
-    # independent re-verification, off the construction path
-    for k, o in enumerate(orientations):
-        if o.is_source_within(x, a_set):
-            raise ConstructionError(f"result is covered by class {k}")
-        if any(node is member for member in classes[k]):
-            raise ConstructionError(f"result is a member of class {k}")
-    return node
+    return _one_round_node(classes, kind, m, delta, 1, is_source, inward)
 
 
 # --- recursive sources and chains ----------------------------------------
@@ -237,7 +300,7 @@ def sources(class_nodes, level_graph: NbhdGraph, within=None) -> list[View]:
         group = map(vertices.__getitem__, nbrs)
         if restrict is not None:
             group = filter(restrict.__contains__, group)
-        if _is_source(cover, x, group):
+        if _blocking_set(cover, x, group) is None:
             out.append(x)
     return out
 
@@ -269,10 +332,11 @@ def uncovered_clique_step(T, next_class_sets, level_graph: NbhdGraph,
     """From an uncovered clique of size p+d one level down, build an
     uncovered clique of size p, provided p + d - 1 + c/d <= bound.
 
-    Center j is picked from a fresh d-subset as the vertex that is a
+    Center j is `_least_owned` of a fresh d-subset: the vertex that is a
     subset-source for the fewest classes (at most one per class inside a
     clique; at most c/d for the chosen vertex).  Its neighbor set is the
-    rest of the clique plus one blocking witness per surviving class.
+    rest of the clique plus one blocking witness (`_blocking_set` over
+    its neighborhood) per class that owns it.
     """
     T = sorted(T, key=canonical_encode)
     c = len(next_class_sets)
@@ -289,44 +353,28 @@ def uncovered_clique_step(T, next_class_sets, level_graph: NbhdGraph,
             if any(t in s for t in T):
                 raise ParameterError(f"input clique intersects class {k}: not uncolored")
 
-    cover_by_class = [_cover(cls) for cls in next_class_sets]
+    covers = [_cover(cls) for cls in next_class_sets]
     remaining = list(T)
-    centers = []
-    witnesses_for = []
+    picks = []
     for _ in range(p):
         group = remaining[:d]
-        per_class_sources = []
-        for k in range(c):
-            found = [x for x in group if _is_source(cover_by_class[k], x, group)]
-            if len(found) > 1:
-                raise ConstructionError(
-                    f"class {k} has {len(found)} sources in a clique; uniqueness failed"
-                )
-            per_class_sources.append(found)
-        counts = []
-        for idx, x in enumerate(group):
-            owning = [k for k in range(c) if per_class_sources[k] and per_class_sources[k][0] is x]
-            counts.append((len(owning), idx, owning))
-        q, idx, owning = min(counts)
-        if q * d > c:
-            raise ConstructionError("pigeonhole bound on clique sources failed")
-        t_j = group[idx]
-        centers.append(t_j)
-        witnesses_for.append(owning)
+        t_j, owning = _least_owned(
+            group, [[x for x in group if _blocking_set(cover, x, group) is None]
+                    for cover in covers], 1)
+        picks.append((t_j, owning))
         remaining.remove(t_j)
 
     out = []
-    for t_j, owning in zip(centers, witnesses_for):
+    for t_j, owning in picks:
         a_set = set(T) - {t_j}
         neighborhood = level_graph.neighbor_views(t_j)
         for k in owning:
-            seen = cover_by_class[k].get(t_j, ())
-            b = next((w for w in neighborhood if w not in seen), None)
-            if b is None:
+            block = _blocking_set(covers[k], t_j, neighborhood)
+            if block is None:
                 raise ConstructionError(
                     f"class {k}: no blocking witness although center is uncolored below"
                 )
-            a_set.add(b)
+            a_set.update(block)
         if len(a_set) > bound:
             raise ConstructionError("neighbor set exceeded the bound; arithmetic failed")
         node = View.make(SET, t_j, a_set)
@@ -342,12 +390,14 @@ def uncovered_clique_step(T, next_class_sets, level_graph: NbhdGraph,
     return out
 
 
-def refute_relaxed(classes, r: int, m: int, bound: int, levels=None, cap=None) -> View:
+def refute_relaxed(classes, r: int, m: int, bound: int, levels=None,
+                   cap: int = DEFAULT_CAP) -> View:
     """An uncovered vertex of the level-r relaxed family given at most
     bound^2/(4r) independent classes.
 
-    Runs the induction: the class chains color at most c level-0 vertices,
-    leaving an uncovered (r*d+1)-clique with d = bound/(2r); each step
+    Runs the induction: the class chains color at most c level-0 vertices
+    (one level-0 source each), so `_first_uncovered` leaves an uncovered
+    (r*d+1)-clique with d = bound/(2r); each `uncovered_clique_step`
     shrinks the uncovered clique by d while climbing one level.
     """
     classes = [frozenset(cl) for cl in classes]
@@ -364,7 +414,7 @@ def refute_relaxed(classes, r: int, m: int, bound: int, levels=None, cap=None) -
     if 4 * r * m < bound * bound + 2 * r * bound + 4 * r:
         raise ParameterError("need m >= bound^2/(4r) + bound/2 + 1")
     if levels is None:
-        levels = build_relaxed_levels(r - 1, m, bound, cap or DEFAULT_CAP)
+        levels = build_relaxed_levels(r - 1, m, bound, cap)
     if len(levels) < r:
         raise ParameterError(f"need level graphs 0..{r - 1}")
 
@@ -374,22 +424,7 @@ def refute_relaxed(classes, r: int, m: int, bound: int, levels=None, cap=None) -
         [chains[k][r - i] for k in range(c)] for i in range(r + 1)
     ]
 
-    for k in range(c):
-        if len(level_sets[0][k]) > 1:
-            raise ConstructionError(
-                "a class has several level-0 sources inside the base clique"
-            )
-    colored0 = set().union(*level_sets[0]) if c else set()
-    base = []
-    for v in levels[0].vertices:
-        if v not in colored0:
-            base.append(v)
-        if len(base) == r * d + 1:
-            break
-    if len(base) < r * d + 1:
-        raise ConstructionError("not enough uncovered base colors; counting failed")
-
-    clique = base
+    clique = _first_uncovered(levels[0].vertices, level_sets[0], r * d + 1, 1)
     for i in range(r):
         p = r * d - (i + 1) * d + 1
         clique = uncovered_clique_step(
@@ -415,49 +450,23 @@ def refute_relaxed(classes, r: int, m: int, bound: int, levels=None, cap=None) -
 def defective_sources(class_nodes, m: int, d: int, within=None) -> list[int]:
     """Colors x in `within` such that every nonempty subset B of the
     restricted neighborhood with |B| <= d+1 sits inside some class member
-    centered at x.  With d = 0 this is exactly the plain source notion."""
-    if within is None:
-        within = range(1, m + 1)
-    within = sorted(set(within))
+    centered at x, that is, `_blocking_set` finds none.  With d = 0 this is
+    exactly the plain source notion."""
+    if d < 0:
+        raise ParameterError("need d >= 0")
+    within = range(1, m + 1) if within is None else sorted(set(within))
     cover = _cover(class_nodes, m)
-    out = []
-    for x in within:
-        if not _is_source(cover, x, within):
-            continue
-        neighborhood = [y for y in within if y != x]
-        child_sets = _member_color_sets(class_nodes, x)
-        if all(any(set(B) <= s for s in child_sets)
-               for size in range(2, d + 2) for B in combinations(neighborhood, size)):
-            out.append(x)
-    return out
-
-
-def _member_color_sets(class_nodes, x: int) -> list[set[int]]:
-    """The neighbor-color sets of the class members centered at color x."""
-    return [{c.base_color for c in node.distinct_children()}
-            for node in class_nodes if node.inner.base_color == x]
-
-
-def _blocking_set(class_nodes, x: int, m: int, d: int):
-    """Smallest-by-canonical-order nonempty B (|B| <= d+1) over [m]\\{x}
-    such that no class member centered at x contains B."""
-    child_sets = _member_color_sets(class_nodes, x)
-    universe = [y for y in range(1, m + 1) if y != x]
-    for size in range(1, d + 2):
-        for B in combinations(universe, size):
-            b = set(B)
-            if not any(b <= s for s in child_sets):
-                return b
-    return None
+    members = _member_sets(class_nodes) if d else None
+    return [x for x in within if _blocking_set(cover, x, within, d, members) is None]
 
 
 def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> View:
     """A one-round vertex outside every class of a d-defective family with
     at most delta^2 / (4(d+1)^2) classes, for m >= 2*delta^2.
 
-    Mirrors the proper-coloring construction with (d, W)-sources: each
-    class has at most d+1 of them inside any clique of colors, and the
-    per-class blockers grow to sets of size <= d+1.
+    Runs `_one_round_node` with (d, W)-sources: each class has at most d+1
+    of them inside any clique of colors, and each owning class is blocked
+    by its smallest blocking set, of size <= d+1.
     """
     classes = [list(cl) for cl in classes]
     if kind is None:
@@ -473,56 +482,17 @@ def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> 
         defect = class_defect(cl)
         if defect > d:
             raise ParameterError(f"class {k} has induced degree {defect} > d={d}")
+    covers = [_cover(cl, m) for cl in classes]
+    # only blocking sets of two or more colors read the members
+    members = [_member_sets(cl) if d else None for cl in classes]
 
-    global_sources = []
-    for k, cl in enumerate(classes):
-        s = set(defective_sources(cl, m, d))
-        if len(s) > d + 1:
-            raise ConstructionError(
-                f"class {k} has {len(s)} global sources; the induced-degree bound failed"
-            )
-        global_sources.append(s)
-    banned = set().union(*global_sources) if classes else set()
+    def is_source(k, x, within):
+        return _blocking_set(covers[k], x, within, d, members[k]) is None
 
-    t_size = delta // 2 + 1
-    T = [x for x in range(1, m + 1) if x not in banned][:t_size]
-    if len(T) < t_size:
-        raise ConstructionError("fewer non-source colors than the counting argument allows")
+    def smallest_block(k, x):
+        return _blocking_set(covers[k], x, range(1, m + 1), d, members[k])
 
-    t_source_sets = []
-    for k, cl in enumerate(classes):
-        ts = set(defective_sources(cl, m, d, within=T))
-        if len(ts) > d + 1:
-            raise ConstructionError(
-                f"class {k} has {len(ts)} restricted sources in a clique "
-                f"of colors; the induced-degree bound failed"
-            )
-        t_source_sets.append(ts)
-    counts = []
-    for x in T:
-        owning = [k for k in range(c) if x in t_source_sets[k]]
-        counts.append((len(owning), x, owning))
-    q, x, owning = min(counts)
-    if q * t_size > c * (d + 1):
-        raise ConstructionError("pigeonhole bound on restricted sources failed")
-
-    a_set = set(T) - {x}
-    for k in owning:
-        block = _blocking_set(classes[k], x, m, d)
-        if block is None:
-            raise ConstructionError(
-                f"class {k}: no blocking set although {x} is not a global source"
-            )
-        a_set |= block
-    if len(a_set) >= delta:
-        raise ConstructionError("constructed neighbor set reached delta; size bound failed")
-
-    node = View.make(kind, View.leaf(kind, x),
-                     (View.leaf(kind, y) for y in sorted(a_set)))
-    for k, cl in enumerate(classes):
-        if any(node is member for member in cl):
-            raise ConstructionError(f"result is a member of class {k}")
-    return node
+    return _one_round_node(classes, kind, m, delta, d + 1, is_source, smallest_block)
 
 
 # --- headline parameter arithmetic ----------------------------------------

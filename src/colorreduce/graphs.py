@@ -230,4 +230,6 @@ def load_graph(path) -> ColoredGraph:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ParameterError(f"{path} is not UTF-8 JSON: {exc}") from exc
+    except RecursionError:
+        raise ParameterError(f"{path} is nested too deeply") from None
     return graph_from_json(data)

@@ -1,16 +1,20 @@
 """Refuters and source machinery against the counting arguments."""
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
-from colorreduce import (MULTISET, SET, ParameterError, View, build_local1,
-                         build_relaxed_levels, class_defect,
+from colorreduce import (MULTISET, SET, CapExceededError, ConstructionError,
+                         ParameterError, View, build_local1,
+                         build_relaxed_levels, canonical_encode, class_defect,
                          defective_sources, is_independent,
                          lower_bound_rounds, orientation_of, refute_relaxed,
                          source_chain, sources, uncovered_clique_step,
                          uncovered_defective_node, uncovered_local1_node)
-from colorreduce.bounds import (random_defective_classes,
+from colorreduce.bounds import (_first_uncovered, _least_owned,
+                                random_defective_classes,
                                 random_independent_sets, random_relaxed_class)
 from colorreduce.nbhd import mutual_edge
 
@@ -240,6 +244,102 @@ def test_refute_relaxed_class_count_precondition():
         refute_relaxed([frozenset()] * 5, 1, 7, 4, levels=levels)
 
 
+def test_refute_relaxed_honours_an_explicit_zero_cap():
+    with pytest.raises(CapExceededError):
+        refute_relaxed([], 1, 7, 4, cap=0)
+    with pytest.raises(CapExceededError):
+        build_relaxed_levels(0, 7, 4, cap=0)
+
+
+# --- the shared counting step -------------------------------------------------
+
+def test_counting_step_refuses_more_sources_than_the_bound():
+    with pytest.raises(ConstructionError, match="global sources"):
+        _first_uncovered(range(1, 9), [[1, 2]], 3, 1)
+    with pytest.raises(ConstructionError, match="sources in a clique"):
+        _least_owned([1, 2, 3], [[1, 2], []], 1)
+    # through the clique step: a dependent "class" with two sources in the
+    # group {1, 2, 3} of the clique {1, 2, 3, 4}, next to an empty one
+    levels = build_relaxed_levels(0, 5, 4)
+    both = frozenset([node(SET, 1, [2, 3]), node(SET, 2, [1, 3])])
+    T = [leaf(SET, c) for c in (1, 2, 3, 4)]
+    with pytest.raises(ConstructionError, match="sources in a clique"):
+        uncovered_clique_step(T, [both, frozenset()], levels[0], p=1, d=3, bound=4)
+
+
+def test_least_owned_ties_go_by_position():
+    assert _least_owned([5, 6, 7], [[5], [6], [7]], 1) == (5, [0])
+    assert _least_owned([5, 6, 7], [[5], [], [7]], 1) == (6, [])
+    assert _least_owned([5, 6, 7], [[5, 7], [6, 7]], 2) == (5, [0])
+
+
+def test_one_round_refuters_block_every_owned_center():
+    # every color of T is a T-source of some class, so the pick falls on the
+    # first color of T and its owning class needs a blocker
+    local1 = [[node(MULTISET, x, [y for y in (1, 2, 3) if y != x]), node(MULTISET, 7, [x])]
+              for x in (1, 2, 3)]
+    assert uncovered_local1_node(local1, 7, 4) is node(MULTISET, 1, [2, 3, 7])
+    plain = [[node(MULTISET, x, [y for y in (1, 2, 3) if y != x])] for x in (1, 2, 3)]
+    assert uncovered_defective_node(plain, 32, 4, 0) is node(MULTISET, 1, [2, 3, 4])
+
+    def split(x):
+        # cover(x) is every other color, but no member holds both 2 and 41
+        return [node(MULTISET, x, [y for y in range(1, 41) if y != x]),
+                node(MULTISET, x, range(41, 73))]
+
+    pairs = [split(1) + split(2), split(3) + split(4)]
+    assert [defective_sources(cl, 72, 1, within=[1, 2, 3, 4]) for cl in pairs] == [[1, 2], [3, 4]]
+    assert uncovered_defective_node(pairs, 72, 6, 1) is node(MULTISET, 1, [2, 3, 4, 41])
+
+
+# sha256 prefixes of the concatenated counterexample encodings of each
+# seeded family; any change here is a change of counterexample.  Random
+# defective classes at m = 2 delta^2 seldom own a color of T, so some of
+# those families give equal vertices; the hand-built families above are
+# the ones that need blockers.
+REFUTER_DIGESTS = {
+    "local1(5,3,multiset)": "17edf98f92eb56d4",
+    "local1(5,3,set)": "23f33753e9c95744",
+    "local1(7,4,multiset)": "609036275afec773",
+    "local1(7,4,set)": "83ce58fc0423b40b",
+    "defective(4,0)": "9ad810cffed9f081",
+    "defective(4,1)": "9611358ac96bf727",
+    "defective(5,1)": "9611358ac96bf727",
+    "defective(6,1)": "4c6ffebf7a7ce071",
+    "defective(6,2)": "4c6ffebf7a7ce071",
+    "relaxed(1,7)": "3741d5de9e66dd26",
+    "relaxed(2,5)": "f2f006adeae65a2c",
+}
+
+
+def test_refuter_outputs_are_pinned(host_7_4):
+    runs = {}
+    for m, delta in ((5, 3), (7, 4)):
+        for kind in (MULTISET, SET):
+            host = (host_7_4 if (m, delta, kind) == (7, 4, MULTISET)
+                    else build_local1(m, delta, kind))
+            runs[f"local1({m},{delta},{kind})"] = [
+                uncovered_local1_node(random_independent_sets(host, delta * delta // 4, seed),
+                                      m, delta)
+                for seed in range(8)]
+    for delta, d in ((4, 0), (4, 1), (5, 1), (6, 1), (6, 2)):
+        m = 2 * delta * delta
+        count = delta * delta // (4 * (d + 1) ** 2)
+        runs[f"defective({delta},{d})"] = [
+            uncovered_defective_node(random_defective_classes(m, delta, d, count, seed),
+                                     m, delta, d)
+            for seed in range(6)]
+    for r, m, size, count in ((1, 7, 25, 4), (2, 5, 40, 2)):
+        levels = build_relaxed_levels(r - 1, m, 4)
+        runs[f"relaxed({r},{m})"] = [
+            refute_relaxed([random_relaxed_class(levels, size, seed=seed * 7 + k, bound=4)
+                            for k in range(count)], r, m, 4, levels=levels)
+            for seed in range(6)]
+    got = {name: hashlib.sha256(b"".join(map(canonical_encode, nodes))).hexdigest()[:16]
+           for name, nodes in runs.items()}
+    assert got == REFUTER_DIGESTS
+
+
 # --- class checks against the pairwise scans they replaced -------------------
 
 def seed_is_independent(nodes):
@@ -389,6 +489,51 @@ def test_defective_sources_zero_defect_multiset_oracle():
     for seed in range(20):
         (cls,) = random_independent_sets(host, 1, seed=seed)
         assert set(defective_sources(cls, 5, 0)) == color_source_oracle(cls, 5)
+
+
+def oracle_defective_sources(cls, m, d, within=None):
+    """The cover test, then every B of size 2..d+1, each member set
+    rebuilt per color: the two-pass form the blocking-set search replaced."""
+    if within is None:
+        within = range(1, m + 1)
+    within = sorted(set(within))
+    out = []
+    for x in within:
+        child_sets = [{c.base_color for c in u.distinct_children()}
+                      for u in cls if u.inner.base_color == x]
+        cover = set().union(*child_sets)
+        neighborhood = [y for y in within if y != x]
+        if not all(y in cover for y in neighborhood):
+            continue
+        if all(any(set(B) <= s for s in child_sets)
+               for size in range(2, d + 2) for B in combinations(neighborhood, size)):
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_defective_sources_match_oracle_for_positive_defect(d):
+    rng = random.Random(d)
+    found = 0
+    for delta in (3, 4):
+        m = 2 * delta * delta
+        for seed in range(15):
+            for cls in random_defective_classes(m, delta, d, count=2, seed=seed):
+                member = cls[seed % len(cls)]
+                # a member's own colors make its center a source
+                own = [member.inner.base_color, *(c.base_color for c in member.distinct_children())]
+                drawn = rng.sample(range(1, m + 1), 5)
+                for within in (None, own, drawn, own + drawn[:2]):
+                    got = defective_sources(cls, m, d, within)
+                    assert got == oracle_defective_sources(cls, m, d, within), (delta, seed, within)
+                    found += len(got)
+    assert found > 0
+
+
+def test_defective_sources_rejects_negative_defect():
+    (cls,) = random_defective_classes(5, 3, 1, count=1, seed=0)
+    with pytest.raises(ParameterError):
+        defective_sources(cls, 3, -3)
 
 
 def test_defective_sources_clique_bound():

@@ -154,6 +154,7 @@ def test_color_graph_with_out_of_range_endpoint_exits_1(tmp_path, capsys):
     {"n": 2, "edges": 5, "psi": [1, 2], "m": 3, "delta": 1},
     [],
     '{"n": 2,',  # not JSON
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
 ])
 def test_color_malformed_graph_file_exits_1(graph, tmp_path, capsys):
     gpath = tmp_path / "instance.json"
@@ -163,12 +164,28 @@ def test_color_malformed_graph_file_exits_1(graph, tmp_path, capsys):
     _assert_one_error_line(code, capsys)
 
 
-def test_refute_malformed_classes_file_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    pytest.param(json.dumps([[{"inner": 1}]]), id="missing-children"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
+    # a member nested past the recursion limit; json.load or view_from_json
+    # gives up first, depending on how deep the parser may go
+    pytest.param("[[" + '{"inner": ' * 5000 + "1" + "}" * 5000 + "]]", id="member-5000"),
+])
+def test_refute_malformed_classes_file_exits_1(text, tmp_path, capsys):
     classes_file = tmp_path / "classes.json"
-    classes_file.write_text(json.dumps([[{"inner": 1}]]))
+    classes_file.write_text(text)
     code = main(["refute", "--family", "nh1", "--m", "5", "--d", "3",
                  "--classes", str(classes_file), "--out", str(tmp_path)])
     _assert_one_error_line(code, capsys)
+
+
+def test_refute_honours_cap_zero(tmp_path, capsys):
+    classes_file = tmp_path / "classes.json"
+    classes_file.write_text("[]")
+    code = main(["refute", "--family", "nt", "--r", "1", "--m", "7", "--d", "4",
+                 "--cap", "0", "--classes", str(classes_file), "--out", str(tmp_path / "run")])
+    assert "cap 0" in _assert_one_error_line(code, capsys)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("member", [
