@@ -181,14 +181,25 @@ def _linial_rule(family: CoverFreeFamily):
 
     A member holds one point (a, P(a)) per a, and points are numbered by
     a first, so that minimum is the point at the first a where no
-    neighbor's polynomial takes the node's value."""
+    neighbor's polynomial takes the node's value.  At a = 0 that value
+    is the constant coefficient, (color - 1) mod q, which settles most
+    calls without evaluating a polynomial."""
     q, m, evaluate = family.params.q, family.m, family.evaluate
 
     def rule(color, neighbor_colors):
-        for c in (color, *neighbor_colors):
-            if not 1 <= c <= m:
-                raise ParameterError(f"color {c} outside [1, {m}]")
-        for a in range(q):
+        # min and max settle the range check; the loop names the bad color
+        if not (1 <= color <= m and (not neighbor_colors or (
+                1 <= min(neighbor_colors) and max(neighbor_colors) <= m))):
+            for c in (color, *neighbor_colors):
+                if not 1 <= c <= m:
+                    raise ParameterError(f"color {c} outside [1, {m}]")
+        b = (color - 1) % q  # a = 0
+        for c in neighbor_colors:
+            if (c - 1) % q == b:
+                break
+        else:
+            return b + 1
+        for a in range(1, q):
             b = evaluate(color, a)
             if all(evaluate(c, a) != b for c in neighbor_colors):
                 return a * q + b + 1

@@ -170,7 +170,7 @@ def cmd_refute(args, parser):
         raise ParameterError(f"cannot read classes file {args.classes}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed classes file {args.classes}: {exc!r}") from exc
-    except RecursionError:  # from json.load or view_from_json
+    except RecursionError:  # from json.load; view_from_json raises ValueError
         raise ParameterError(f"classes file {args.classes} is nested too deeply") from None
     transcript = {"classes": [len(cl) for cl in classes]}
     if family == nbhd.LOCAL1:

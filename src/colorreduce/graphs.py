@@ -158,6 +158,8 @@ def random_colored_tree(n: int, delta_cap: int, m: int, seed: int) -> ColoredGra
     Identical arguments always produce the identical graph.  The earlier
     nodes with capacity are kept as an ascending list updated per node;
     every new node joins it, since its degree 1 is below delta_cap >= 2.
+    A node's row starts with its parent, and its children join it in the
+    order they are made, so every row is sorted as it is built.
     """
     if m < 2:
         raise ParameterError("need m >= 2 to properly color any edge")
@@ -166,28 +168,25 @@ def random_colored_tree(n: int, delta_cap: int, m: int, seed: int) -> ColoredGra
     if delta_cap < 2:
         raise ParameterError("need delta_cap >= 2")
     rng = random.Random(seed)
-    parents = [-1] * n
-    deg = [0] * n
+    rows = [[] for _ in range(n)]
     candidates = [0]
     for v in range(1, n):
         i = rng.randrange(len(candidates))
         p = candidates[i]
-        parents[v] = p
-        deg[p] += 1
-        if deg[p] == delta_cap:
+        rows[p].append(v)
+        if len(rows[p]) == delta_cap:
             del candidates[i]
-        deg[v] += 1
+        rows[v].append(p)
         candidates.append(v)
     psi = [0] * n
     psi[0] = rng.randrange(1, m + 1)
     for v in range(1, n):
         # uniform over [m] minus the parent color
         c = rng.randrange(1, m)
-        if c >= psi[parents[v]]:
+        if c >= psi[rows[v][0]]:
             c += 1
         psi[v] = c
-    edges = [(parents[v], v) for v in range(1, n)]
-    return ColoredGraph.from_edges(n, edges, psi, m, delta_cap)
+    return ColoredGraph(n, tuple(map(tuple, rows)), tuple(psi), m, delta_cap)
 
 
 def graph_to_json(g: ColoredGraph) -> dict:

@@ -108,17 +108,20 @@ class ColorRounds:
     def run_colors(self, g: ColoredGraph) -> list[int]:
         """The output color of every node of g, computed on a color list."""
         adj, colors = g.adjacency, list(g.psi)
+        top = max(colors)
         for t, (rule, keep) in enumerate(self.rounds, start=1):
-            if max(colors) <= keep:
+            if top <= keep:
                 continue
-            movers = [v for v, c in enumerate(colors) if c > keep]
             held = colors.__getitem__
-            colors = colors[:]
-            for v in movers:
-                try:
-                    colors[v] = rule(held(v), set(map(held, adj[v])))
-                except Exception as exc:  # noqa: BLE001
-                    raise SimulationError(v, t, exc) from exc
+            moved = colors[:]
+            for v, c in enumerate(colors):
+                if c > keep:
+                    try:
+                        moved[v] = rule(c, set(map(held, adj[v])))
+                    except Exception as exc:  # noqa: BLE001
+                        raise SimulationError(v, t, exc) from exc
+            colors = moved
+            top = max(colors)
         return colors
 
 

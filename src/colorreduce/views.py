@@ -313,14 +313,23 @@ def view_to_json(view: View):
 
 
 def view_from_json(data, kind) -> View:
+    """Inverse of view_to_json.  A member nested past the recursion
+    limit raises ValueError, as in canonical_decode."""
+    try:
+        return _view_from_json(data, kind)
+    except RecursionError:
+        raise ValueError("view JSON nested too deeply") from None
+
+
+def _view_from_json(data, kind) -> View:
     if isinstance(data, int):
         return View.leaf(kind, data)
-    inner = view_from_json(data["inner"], kind)
+    inner = _view_from_json(data["inner"], kind)
     children = []
     for entry in data["children"]:
         if kind == MULTISET:
             child, count = entry
-            children.append((view_from_json(child, kind), count))
+            children.append((_view_from_json(child, kind), count))
         else:
-            children.append(view_from_json(entry, kind))
+            children.append(_view_from_json(entry, kind))
     return View.make(kind, inner, children)

@@ -251,6 +251,24 @@ def test_linial_rule_exhausted_and_out_of_range():
         rule(1, {2, 17})
 
 
+@pytest.mark.parametrize("color, neighbor_colors, bad", [
+    (17, {1}, 17),
+    (1, {2, 17}, 17),
+    (17, set(), 17),
+    (0, {17}, 0),
+    (1, {2, -1}, -1),
+    # two bad neighbors: the message names the first in the set's order
+    (1, {17, 40}, 40),
+    (1, {33, 17}, 33),
+    (1, {0, 17}, 0),
+])
+def test_linial_rule_names_the_first_out_of_range_color(color, neighbor_colors, bad):
+    rule = _linial_rule(build_family(linial_params(16, 2), 16))
+    with pytest.raises(ParameterError) as info:
+        rule(color, neighbor_colors)
+    assert str(info.value) == f"color {bad} outside [1, 16]"
+
+
 def test_family_holds_no_state_beyond_its_fields():
     # a frozen value is shareable across threads only if nothing in it mutates
     fam = build_family(linial_params(16, 2), 16)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorreduce import (ColorAssignment, ColoredGraph, CoverageError,
                          GraphError, PaletteMismatchError, ParameterError,
@@ -98,7 +100,8 @@ def test_random_tree_structural_postconditions():
 
 
 def oracle_random_colored_tree(n, delta_cap, m, seed):
-    """The generator as first written: the candidate list rebuilt per node."""
+    """The generator as first written: the candidate list rebuilt per node,
+    the graph built by ColoredGraph.from_edges over the parent edges."""
     rng = random.Random(seed)
     parents, deg = [-1] * n, [0] * n
     for v in range(1, n):
@@ -125,6 +128,13 @@ def test_random_tree_matches_rebuilt_candidate_oracle(n):
             g = random_colored_tree(n, delta_cap, 7, seed)
             want = oracle_random_colored_tree(n, delta_cap, 7, seed)
             assert g.psi == want.psi and g.adjacency == want.adjacency
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 9), st.integers(2, 10**6), st.integers())
+def test_random_tree_rows_equal_edge_list_oracle(n, delta_cap, m, seed):
+    assert random_colored_tree(n, delta_cap, m, seed) == oracle_random_colored_tree(
+        n, delta_cap, m, seed)
 
 
 def test_random_tree_infeasible_parameters():

@@ -224,7 +224,7 @@ def _outcome(g, prog, kind, trace):
     try:
         phi, _ = run(g, prog, kind, trace=trace)
     except SimulationError as exc:
-        return ("error", exc.node, exc.round_index, type(exc.cause))
+        return ("error", exc.node, exc.round_index, repr(exc.cause))
     return ("ok", phi)
 
 
@@ -242,6 +242,20 @@ def test_color_path_equals_general_path_on_criterion_01_trees():
                     assert fast == general, (prog.name, i, kind)
                     assert len(trace.rounds) == prog.round_budget(m, delta, g.n)
     assert 0 in budgets  # linial_full_program at (m=100, delta>=3) has no rounds
+
+
+def test_color_path_equals_general_path_on_a_10k_node_tree():
+    # about 1,250 of the 20,000 reduction steps here end at a >= 1
+    g = random_colored_tree(10**4, 8, 10**6, seed=11)
+    prog = delta_plus_one_program(10**6, 8)
+    finalized = []
+
+    def finalize(state):  # a replaced callable sends the run down the message path
+        finalized.append(state)
+        return prog.finalize(state)
+
+    assert run(g, prog, SET) == run(g, replace(prog, finalize=finalize), SET)
+    assert len(finalized) == g.n
 
 
 def test_color_path_never_calls_the_message_step(monkeypatch):
@@ -272,6 +286,21 @@ def test_replaced_callable_takes_general_path(field):
     assert phi == run(g, prog, SET)[0]
 
 
+def _fails_where_nothing_moved():
+    """Round 1 keeps colors 1..6 and sends every higher color to 1; round
+    2 fails at every color above 3, so only at a node that kept its color
+    in round 1.  The cause names the colors its neighbors hold then."""
+    def merge(color, neighbor_colors):
+        return color if color <= 6 else 1
+
+    def fail_above_3(color, neighbor_colors):
+        if color > 3:
+            raise ValueError(f"color {color} among {sorted(neighbor_colors)}")
+        return color
+
+    return ColorRounds([(merge, 6), (fail_above_3, 3)]).program("fails-unmoved")
+
+
 @pytest.mark.parametrize("prog, tree_m", [
     # built for delta 2, run on trees of degree up to 8
     (delta_plus_one_program(10**4, 2), 10**4),
@@ -279,7 +308,8 @@ def test_replaced_callable_takes_general_path(field):
     (kw_step_program(12, 2), 12),
     # built for a smaller palette than the trees' colors
     (linial_step_program(50, 8), 10**4),
-], ids=["delta1", "linial-step", "kw-step", "linial-palette"])
+    (_fails_where_nothing_moved(), 12),
+], ids=["delta1", "linial-step", "kw-step", "linial-palette", "unmoved"])
 def test_failing_run_raises_the_same_error_on_both_paths(prog, tree_m):
     failures = set()
     for seed in range(40):

@@ -311,6 +311,16 @@ def test_json_roundtrip_both_kinds():
     assert data["children"] == [[2, 3]]
 
 
+@pytest.mark.parametrize("depth", [992, 100_000])
+def test_json_member_nested_past_the_recursion_limit_raises_value_error(depth):
+    data = 1
+    for _ in range(depth):
+        data = {"inner": data}
+    for kind in (SET, MULTISET):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            view_from_json(data, kind)
+
+
 def test_intern_pool_gives_one_object_per_digest_across_threads():
     n_threads, n_views = 8, 300
     old_interval = sys.getswitchinterval()
