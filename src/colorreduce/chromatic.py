@@ -13,10 +13,12 @@ over ranks: one neighborhood mask per vertex, one mask per color of the
 ranks it saturates, and one mask per saturation level of the uncolored
 ranks (DSATUR, Brelaz 1979).  An expansion or its undo costs a few
 big-int ANDs per saturation level, not a walk over the vertex's
-neighbors; the masks take n*n/8 bytes, and the greedy clique grows on
-the same masks.  The branching order, and with it every expansion
-count, witness and budget outcome, is that of the plain
-saturation-greedy scan.
+neighbors.  The rank order and the masks belong to the checked rows:
+they are built on first use and take n*n/8 bytes, every solver call on
+one as_adjacency value shares them, and they live as long as that value
+does.  The greedy clique grows on the same masks.  The branching order,
+and with it every expansion count, witness and budget outcome, is that
+of the plain saturation-greedy scan.
 """
 
 from __future__ import annotations
@@ -34,9 +36,42 @@ from .views import View, canonical_encode
 class _Rows(tuple):
     """Checked neighbor rows: row v is a sorted tuple of v's neighbors,
     each in [0, n), none equal to v, and u is in row v exactly when v is
-    in row u."""
+    in row u.
 
-    __slots__ = ()
+    The rows carry their rank space.  order[r] is the vertex of rank r
+    (degree descending, then index), and masks[r] holds the ranks of r's
+    neighbors as the bits of one int.  Both are built on first use and
+    cached on the value; assignment and deletion raise AttributeError
+    (cached_property writes the instance dict, not through __setattr__).
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"checked rows are immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"checked rows are immutable; cannot delete {name!r}")
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(sorted(range(len(self)), key=lambda v: (-len(self[v]), v)))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        rank = [0] * len(self)
+        for r, v in enumerate(self.order):
+            rank[v] = r
+        # one byte update per edge end and one conversion per row; summing
+        # powers of two would copy the growing int once per neighbor
+        byte = [r >> 3 for r in rank]
+        bit = [1 << (r & 7) for r in rank]
+        zeros = bytes((len(self) + 7) // 8)
+        masks = []
+        for v in self.order:
+            row = bytearray(zeros)
+            for u in self[v]:
+                row[byte[u]] |= bit[u]
+            masks.append(int.from_bytes(row, "little"))
+        return tuple(masks)
 
 
 def as_adjacency(g) -> _Rows:
@@ -56,7 +91,7 @@ def as_adjacency(g) -> _Rows:
     n = len(adj)
     for v, nbrs in enumerate(adj):
         for u in nbrs:
-            if not (isinstance(u, int) and 0 <= u < n):
+            if not (type(u) is int and 0 <= u < n):
                 raise ParameterError(f"vertex {v} has neighbor {u!r} outside [0, {n})")
             if u == v:
                 raise ParameterError(f"vertex {v} has a self-loop")
@@ -78,50 +113,14 @@ class ChiResult:
             raise ParameterError("lower bound above upper bound")
 
 
-class _RankSpace:
-    """A graph's static DSATUR rank: degree descending, then index.
-
-    order[r] is the vertex of rank r and rank[v] the rank of vertex v.
-    masks[r] holds the ranks of r's neighbors as the bits of one int; it
-    is built from the rows on first use and takes n*n/8 bytes.  chi_exact
-    builds one rank space and shares its masks with its greedy clique,
-    its saturation-greedy coloring and every k-search.
-    """
-
-    def __init__(self, adj):
-        self.adj = adj
-        self.order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
-        self.rank = [0] * len(adj)
-        for r, v in enumerate(self.order):
-            self.rank[v] = r
-
-    @cached_property
-    def masks(self) -> list[int]:
-        # one byte update per edge end and one conversion per row; summing
-        # powers of two would copy the growing int once per neighbor
-        byte = [r >> 3 for r in self.rank]
-        bit = [1 << (r & 7) for r in self.rank]
-        zeros = bytes((len(self.rank) + 7) // 8)
-        masks = []
-        for v in self.order:
-            row = bytearray(zeros)
-            for u in self.adj[v]:
-                row[byte[u]] |= bit[u]
-            masks.append(int.from_bytes(row, "little"))
-        return masks
-
-
 def greedy_clique(g) -> list[int]:
     """Best clique over greedy growth from every seed vertex.  Seeds go
     in rank order, and each step adds the lowest-ranked candidate, the
-    largest (degree, -index); the growth runs on the rank-space masks."""
-    return _greedy_clique(_RankSpace(as_adjacency(g)))
-
-
-def _greedy_clique(space: _RankSpace) -> list[int]:
+    largest (degree, -index); the growth runs on the rows' rank masks."""
+    adj = as_adjacency(g)
     # the lowest set bit of the candidates is the lowest-ranked candidate;
     # a rank's own bit is cleared as it joins, so growth always ends
-    masks, best = space.masks, []
+    masks, best = adj.masks, []
     for seed, mask in enumerate(masks):
         clique = [seed]
         candidates = mask & ~(1 << seed)
@@ -132,7 +131,7 @@ def _greedy_clique(space: _RankSpace) -> list[int]:
             candidates = (candidates ^ low) & masks[r]
         if len(clique) > len(best):
             best = clique
-    return sorted(space.order[r] for r in best)
+    return sorted(adj.order[r] for r in best)
 
 
 def embedded_clique(graph: NbhdGraph) -> list[int] | None:
@@ -155,11 +154,11 @@ def embedded_clique(graph: NbhdGraph) -> list[int] | None:
 def clique_lower_bound(g) -> int:
     """Size of the greedy clique, raised to the planted clique of a
     level-1 neighborhood graph when that is larger."""
-    return _clique_bound(g, _RankSpace(as_adjacency(g)))
+    return _clique_bound(g, as_adjacency(g))
 
 
-def _clique_bound(g, space: _RankSpace) -> int:
-    lower = len(_greedy_clique(space))
+def _clique_bound(g, adj: _Rows) -> int:
+    lower = len(greedy_clique(adj))
     planted = embedded_clique(g) if isinstance(g, NbhdGraph) else None
     return lower if planted is None else max(lower, len(planted))
 
@@ -193,10 +192,10 @@ class _Budget:
         return self.used <= self.limit
 
 
-def _search_k_coloring(adj, k: int, budget: _Budget, space: _RankSpace | None = None):
+def _search_k_coloring(adj: _Rows, k: int, budget: _Budget):
     """Iterative DSATUR-ordered backtracking; returns (status, colors).
 
-    The search runs in rank space (see _RankSpace) on int bitmasks.
+    The search runs in rank space (see _Rows) on int bitmasks.
     covered[c] holds the ranks with a neighbor colored c, so a rank's
     saturation is the number of colors whose mask holds its bit, and an
     assignment or its undo costs one AND per saturation level instead of
@@ -204,8 +203,7 @@ def _search_k_coloring(adj, k: int, budget: _Budget, space: _RankSpace | None = 
     branching vertex is the lowest rank in the top non-empty bucket: the
     largest (saturation, degree, -index).
     """
-    space = _RankSpace(adj) if space is None else space
-    nbr = space.masks
+    nbr = adj.masks
     n = len(nbr)
     covered = [0] * (k + 1)
     buckets = [0] * (k + 1)
@@ -253,7 +251,7 @@ def _search_k_coloring(adj, k: int, budget: _Budget, space: _RankSpace | None = 
         if len(stack) == n:
             colors = [0] * n
             for r, c, *_ in stack:
-                colors[space.order[r]] = c
+                colors[adj.order[r]] = c
             return "yes", colors
         r, sat = pick(max_used)
         # symmetry break: allow at most one brand-new color
@@ -289,16 +287,12 @@ def dsatur(g) -> tuple[list[int], int]:
     never backtracks and spends exactly n expansions.
     """
     adj = as_adjacency(g)
-    return _dsatur(adj, _RankSpace(adj))
-
-
-def _dsatur(adj, space: _RankSpace) -> tuple[list[int], int]:
     n = len(adj)
-    _, colors = _search_k_coloring(adj, n, _Budget(n), space)
+    _, colors = _search_k_coloring(adj, n, _Budget(n))
     return colors, max(colors, default=0)
 
 
-def _decide_k(adj, k: int, budget: _Budget, space: _RankSpace | None = None):
+def _decide_k(adj, k: int, budget: _Budget):
     """k-colorability with the closed forms for k = 1, k = 2 and k >= n,
     else the search; every "yes" witness is checked before it is returned."""
     n = len(adj)
@@ -312,7 +306,7 @@ def _decide_k(adj, k: int, budget: _Budget, space: _RankSpace | None = None):
     elif k >= n:
         status, witness = "yes", list(range(1, n + 1))
     else:
-        status, witness = _search_k_coloring(adj, k, budget, space)
+        status, witness = _search_k_coloring(adj, k, budget)
     if status == "yes":
         _check_witness(adj, witness, k)
     return status, witness
@@ -322,8 +316,8 @@ def is_k_colorable(g, k: int, budget: int = 1_000_000):
     """Three-valued: ("yes", witness) with a validating coloring, ("no",
     None) after exhaustive search, or ("unknown", None) on budget
     exhaustion."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
     return _decide_k(as_adjacency(g), k, _Budget(budget))
 
 
@@ -342,14 +336,13 @@ def chi_exact(g, budget: int = 1_000_000) -> ChiResult:
     adj = as_adjacency(g)
     if not adj:
         return ChiResult(0, 0, True, tuple(), 0)
-    space = _RankSpace(adj)
-    witness, upper = _dsatur(adj, space)
+    witness, upper = dsatur(adj)
     best_witness = tuple(witness)
     tracker = _Budget(budget)
-    k = max(_clique_bound(g, space), 1)
+    k = max(_clique_bound(g, adj), 1)
     # an "unknown" leaves the tracker overspent, which ends the loop
     while k < upper and tracker.used < budget:
-        status, wit = _decide_k(adj, k, tracker, space)
+        status, wit = _decide_k(adj, k, tracker)
         if status == "yes":
             return ChiResult(k, k, True, tuple(wit), tracker.used)
         if status == "no":

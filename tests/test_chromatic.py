@@ -3,7 +3,9 @@
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -161,10 +163,11 @@ def test_search_matches_rescanning_oracle():
                as_adjacency(build_relaxed(1, 5, 3))]
     assert any(not adj for adj in graphs)
     for i, adj in enumerate(graphs):
+        rows = as_adjacency(adj)
         for k in range(1, 7):
             for limit in (0, 1, 10, 100, 10**5):
                 new, old = _Budget(limit), _Budget(limit)
-                got = _search_k_coloring(adj, k, new)
+                got = _search_k_coloring(rows, k, new)
                 assert got == seed_search_k_coloring(adj, k, old), (i, k, limit)
                 assert new.used == old.used, (i, k, limit)
 
@@ -273,10 +276,11 @@ def oracle_greedy_clique(adj):
 
 
 def assert_search_matches_bucket_oracle(adj, ks, label):
+    rows = as_adjacency(adj)
     for k in ks:
         for limit in (0, 1, 10, 100, 10**5):
             new, old = _Budget(limit), _Budget(limit)
-            got = _search_k_coloring(adj, k, new)
+            got = _search_k_coloring(rows, k, new)
             assert got == oracle_bucket_search(adj, k, old), (label, k, limit)
             assert new.used == old.used, (label, k, limit)
 
@@ -430,8 +434,9 @@ def test_budget_exhaustion_returns_bracket():
 
 
 def test_is_k_colorable_parameter_error():
-    with pytest.raises(ParameterError):
-        is_k_colorable(TRIANGLE, 0)
+    for k in (0, 2.5, "3"):
+        with pytest.raises(ParameterError):
+            is_k_colorable(TRIANGLE, k)
 
 
 @pytest.mark.parametrize("rows,problem", [
@@ -442,14 +447,16 @@ def test_is_k_colorable_parameter_error():
     ([[0], [1], [2]], "self-loop"),
     ([[1], []], "listed only"),
     ([[1, 2], [0], [1]], "listed only"),
+    ([[True], [0]], "outside"),
 ])
 def test_plain_rows_rejected_before_solving(rows, problem, monkeypatch, tmp_path):
-    # the growth step is replaced by one that fails the test if it is
+    # the rank space is replaced by one that fails the test if it is
     # reached, so every call must reject the rows before any solving
-    def no_growth(space):
-        raise AssertionError("clique growth started on unchecked rows")
+    def no_rank_space(rows):
+        raise AssertionError("rank space built on unchecked rows")
 
-    monkeypatch.setattr(colorreduce.chromatic, "_greedy_clique", no_growth)
+    monkeypatch.setattr(_Rows, "order", property(no_rank_space))
+    monkeypatch.setattr(_Rows, "masks", property(no_rank_space))
     for call in (lambda: as_adjacency(rows), lambda: chi_exact(rows),
                  lambda: greedy_clique(rows), lambda: dsatur(rows),
                  lambda: clique_lower_bound(rows), lambda: is_k_colorable(rows, 2),
@@ -476,6 +483,52 @@ def test_checked_rows_are_immutable_and_not_checked_twice():
         rows[0] = (1,)
     with pytest.raises(AttributeError):
         rows.extra = 1
+
+
+def test_one_rank_space_per_checked_rows(host_7_4, monkeypatch):
+    builds = []
+    build_masks = _Rows.masks.func
+
+    def counted(rows):
+        builds.append(len(rows))
+        return build_masks(rows)
+
+    masks = cached_property(counted)
+    masks.__set_name__(_Rows, "masks")
+    monkeypatch.setattr(_Rows, "masks", masks)
+    rows = as_adjacency(host_7_4)
+    assert len(greedy_clique(rows)) == 5
+    assert dsatur(rows)[1] == 6
+    assert is_k_colorable(rows, 5) == ("no", None)
+    res = chi_exact(rows)
+    assert builds == [1470]
+    assert (res.lower, res.upper, res.exact, res.expansions_used) == (6, 6, True, 4750)
+    assert res == chi_exact(host_7_4)
+    assert builds == [1470, 1470]
+    with pytest.raises(AttributeError):
+        rows.masks = ()
+    with pytest.raises(AttributeError):
+        del rows.order
+
+
+def test_chi_exact_shares_fresh_rows_across_threads(host_7_4):
+    # four threads meet the same rows before any rank space is cached
+    expected = chi_exact(host_7_4)
+    rows = as_adjacency(host_7_4)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def solve(slot):
+        barrier.wait(timeout=10)
+        results[slot] = chi_exact(rows)
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert results == [expected] * 4
 
 
 def test_chi_exact_local1_74_peak_memory(host_7_4):
