@@ -6,9 +6,10 @@ a collection of level-r vertices.  Four families share the same edge rule
 -- {(x,A),(y,B)} is an edge iff x is in B and y is in A; level 0 is the
 complete graph on the m colors.  A level-0 vertex has center and only
 type BOTTOM, which is None, a leaf's inner.  One expansion builds every
-level of every family: level i+1 takes each vertex x of level i and
-each collection A of at most the bound of x's level-i neighbors, subsets
-under set delivery and multisets under multiset delivery:
+level of every family but typed, which is cut from setlocal: level i+1
+takes each vertex x of level i and each collection A of at most the
+bound of x's level-i neighbors, subsets under set delivery and
+multisets under multiset delivery:
 
 * local1:   one-round full-information graph, level 1 of that expansion:
             (x, A) for every neighbor-color collection A over [m]\\{x}
@@ -16,15 +17,16 @@ under set delivery and multisets under multiset delivery:
             variant).
 * relaxed:  level i+1 takes any subset A of a vertex's level-i neighbors
             with |A| <= D, no further restriction.
-* typed:    additionally requires the neighbor set to realize every type
-            of the center: types(x) == {center(a) for a in A}.
 * setlocal: the views actually realizable in properly m-colored trees
             of max degree <= delta under set delivery, with edges between
-            views co-realizable at adjacent tree nodes; built like typed
-            with bound delta, except that level 1 keeps every A,
-            the empty one included.
+            views co-realizable at adjacent tree nodes.  Level 1 keeps
+            every A, the empty one included; level i+1 >= 2 keeps the
+            (x, A) whose neighbor set realizes every type of the center:
+            types(x) == {center(a) for a in A}.
+* typed:    setlocal without the r-views of isolated nodes, the (x, A)
+            with empty A at every level >= 1.
 
-The typed filter is exact for setlocal from level 2 on.  Necessity: at
+The type filter is exact for setlocal from level 2 on.  Necessity: at
 a tree node u with (i+1)-view (x, A), each a in A is the i-view of a
 neighbor w of u, and its center, w's (i-1)-view, is one of the children
 of x, which are exactly the (i-1)-views of u's neighbors; so
@@ -36,6 +38,11 @@ neighbors, and by induction on k <= i, u's k-view is x's truncation
 (the centers of A are the children of x) while every other node keeps
 its k-view (u shows what the cut neighbor showed), so u's (i+1)-view is
 (x, A).  Level 1 needs no filter: a star realizes any (x, A).
+
+The views of isolated nodes are m per level >= 1: a vertex over (c, {})
+has no types, so its own A is empty, and (c, {}) is no one's neighbor, so
+no collection contains it.  They lie in no row, and typed is the induced
+subgraph on the rest, in the same canonical order.
 
 Co-realizability is the edge rule, so setlocal is wired like the others.
 Adjacent tree nodes u, v each have the other's (r-1)-view among their
@@ -63,7 +70,8 @@ The recursive families blow up exponentially; builders project each
 level's vertex count first and refuse to exceed an explicit cap, which
 also bounds the number of edges they wire.  The projection counts every
 collection the expansion walks, so it is exact where no filter runs
-(local1, relaxed, setlocal level 1) and an upper bound where one does.
+(local1, relaxed, setlocal level 1) and an upper bound where one does
+(setlocal from level 2); typed is refused where setlocal is, by its error.
 """
 
 from __future__ import annotations
@@ -160,7 +168,8 @@ class NbhdGraph:
 
     Vertices are sorted by canonical encoding; adjacency holds sorted
     vertex indices.  degree_param is delta for local1/setlocal and the
-    neighbor-set bound D for relaxed/typed.
+    neighbor-set bound D for relaxed; typed, setlocal without the views
+    of isolated nodes, keeps setlocal's delta as its D.
     """
 
     family: str
@@ -238,8 +247,8 @@ def build_local1(m: int, delta: int, variant=MULTISET, cap: int = DEFAULT_CAP) -
     """One-round graph: all (x, A) with A over [m]\\{x}, |A| <= delta,
     including the empty A; multiset or plain-subset neighbor collections.
     It is level 1 over the complete graph on the m colors."""
-    if not (m > delta >= 2):
-        raise ParameterError(f"need m > delta >= 2, got m={m}, delta={delta}")
+    if not (type(m) is int and type(delta) is int and m > delta >= 2):
+        raise ParameterError(f"need integers m > delta >= 2, got m={m!r}, delta={delta!r}")
     if variant not in (SET, MULTISET):
         raise ParameterError(f"unknown variant {variant!r}")
     return _build_levels(LOCAL1, 1, m, delta, cap, variant)[-1]
@@ -248,15 +257,15 @@ def build_local1(m: int, delta: int, variant=MULTISET, cap: int = DEFAULT_CAP) -
 def _expand_level(prev: NbhdGraph, bound: int, cap: int) -> NbhdGraph:
     """Level prev.level + 1: every (x, A) with x a vertex of prev and A a
     collection of at most `bound` of x's neighbors in prev, of prev's
-    kind (subsets for SET, multisets for MULTISET), kept by the typed
-    filter where it applies."""
+    kind (subsets for SET, multisets for MULTISET), kept by the type
+    filter where it applies: setlocal from level 2."""
     if prev.variant == MULTISET:
         chooser, count = combinations_with_replacement, _multiset_count
     else:
         chooser, count = combinations, _subset_count
     # setlocal's level 1 keeps every A, as a star realizes it; above
-    # level 1 the filter is exact for setlocal too
-    filtered = prev.family == TYPED or (prev.family == SETLOCAL and prev.level >= 1)
+    # level 1 the type filter is exact
+    filtered = prev.family == SETLOCAL and prev.level >= 1
     projected = sum(count(len(row), bound) for row in prev.adjacency)
     if projected > cap:
         raise CapExceededError(
@@ -276,6 +285,8 @@ def _expand_level(prev: NbhdGraph, bound: int, cap: int) -> NbhdGraph:
 
 def _build_levels(family: str, r: int, m: int, d: int, cap: int,
                   kind=SET) -> list[NbhdGraph]:
+    if not all(type(p) is int for p in (r, m, d)):
+        raise ParameterError(f"need integer r, m, d, got r={r!r}, m={m!r}, d={d!r}")
     if r < 0 or m < 2 or d < 1:
         raise ParameterError("need r >= 0, m >= 2, d >= 1")
     levels = [_finish(family, m, d, 0, kind, _clique_vertices(m, kind), cap)]
@@ -293,18 +304,28 @@ def build_relaxed(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
     return build_relaxed_levels(r, m, d, cap)[-1]
 
 
-def build_typed_levels(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> list[NbhdGraph]:
-    """Levels 0..r of the type-constrained family.
+def _without_isolated_views(level: NbhdGraph) -> NbhdGraph:
+    """The typed level cut from a setlocal level: the same graph without
+    the (x, A) with empty A above level 0.  Those lie in no row (see the
+    module docstring), so the other rows only shift their indices."""
+    kept = [i for i, v in enumerate(level.vertices) if v.depth == 0 or v.child_size]
+    new = {old: pos for pos, old in enumerate(kept)}
+    return NbhdGraph(TYPED, level.m, level.degree_param, level.level, level.variant,
+                     tuple(level.vertices[i] for i in kept),
+                     tuple(tuple(new[j] for j in level.adjacency[i]) for i in kept))
 
-    The type condition forces nonempty neighbor sets from level 1 on
-    (the level-0 type set is {BOTTOM}, never empty), unlike setlocal
-    where isolated realizations keep empty collections legal.
-    """
-    return _build_levels(TYPED, r, m, d, cap)
+
+def build_typed_levels(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> list[NbhdGraph]:
+    """Levels 0..r of the type-constrained family: setlocal's levels
+    with delta = d, each without its m views of isolated nodes above
+    level 0 (see the module docstring).  What is left is exactly the
+    (x, A) with centers(A) == types(x).  The cap and its refusal are
+    setlocal's."""
+    return [_without_isolated_views(g) for g in _build_levels(SETLOCAL, r, m, d, cap)]
 
 
 def build_typed(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
-    return build_typed_levels(r, m, d, cap)[-1]
+    return _without_isolated_views(build_setlocal(r, m, d, cap))
 
 
 def build_setlocal(r: int, m: int, delta: int, cap: int = DEFAULT_CAP) -> NbhdGraph:
@@ -312,7 +333,7 @@ def build_setlocal(r: int, m: int, delta: int, cap: int = DEFAULT_CAP) -> NbhdGr
 
     Level 1 holds every (x, A) with |A| <= delta; level i+1 >= 2 keeps
     the (x, A) over level-i neighbors of x whose centers are exactly the
-    children of x, the filter typed uses.  A node's neighbors' i-views have its
+    children of x, the type filter.  A node's neighbors' i-views have its
     neighbors' (i-1)-views as centers, and conversely one realizing tree
     per a in A, cut at the neighbor showing x.inner and glued at a new
     root, realizes (x, A) (see the module docstring).  Two realizable
@@ -351,17 +372,15 @@ class HomReport:
 
 
 def verify_homomorphism(hom: HomMap) -> HomReport:
-    """List images outside the codomain and domain edges whose images are
+    """List the domain vertices without an image in the codomain (none
+    mapped, or mapped outside it) and the domain edges whose images are
     not codomain edges; the map is a homomorphism iff the report is ok."""
     dom, cod, image = hom.domain, hom.codomain, hom.mapping
-    missing = [v for v in dom.vertices if not cod.has_vertex(image[v])]
-    broken = []
-    for i, j in dom.edges():
-        u, v = dom.vertices[i], dom.vertices[j]
-        iu, iv = image[u], image[v]
-        if not (cod.has_vertex(iu) and cod.has_vertex(iv)
-                and cod.vertex_index(iv) in cod.adjacency[cod.vertex_index(iu)]):
-            broken.append((u, v))
+    # the codomain position of each domain vertex's image, None if it has none
+    at = [cod._index.get(image.get(v)) for v in dom.vertices]
+    missing = [v for v, p in zip(dom.vertices, at) if p is None]
+    broken = [(dom.vertices[i], dom.vertices[j]) for i, j in dom.edges()
+              if at[i] is None or at[j] is None or at[j] not in cod.adjacency[at[i]]]
     return HomReport(tuple(missing), tuple(broken))
 
 
@@ -381,15 +400,12 @@ def typed_to_setlocal_hom(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> Hom
     """Map the typed family into the realizable-view graph; verified
     before returning.
 
-    Both families hold interned SET views and share level 0.  Typed
-    level 1 is setlocal level 1 without the empty A, and above it both
-    keep the (x, A) over level-i neighbors with centers(A) == types(x)
-    (with bounds d and delta = d) and wire by the edge rule, so by
-    induction on the level every typed vertex is a setlocal vertex, and
-    the map is the inclusion v -> v.
+    Typed is setlocal with delta = d less the views of isolated nodes,
+    so one setlocal build gives the codomain and the domain is cut from
+    it; the map is the inclusion v -> v, an induced subgraph.
     """
-    domain = build_typed(r, m, d, cap)
     codomain = build_setlocal(r, m, d, cap)
+    domain = _without_isolated_views(codomain)
     hom = HomMap(domain, codomain, {v: v for v in domain.vertices},
                  name=f"typed->setlocal[{r},{m},{d}]")
     return _verified(hom, "typed->setlocal")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,22 @@ def test_verify_hom_subcommands(tmp_path, capsys):
     code, out = run_cli(["verify-hom", "--which", "f", "--r", "1", "--m", "3",
                          "--d", "1", "--out", str(tmp_path / "f")], capsys)
     assert code == 0 and out["verified"] is True
+
+
+@pytest.mark.parametrize("args,digests", [
+    (["build", "--family", "ntilde", "--r", "2", "--m", "3", "--d", "2"],
+     {"graph.json": "0f45dcecf8f5", "stats.json": "53f1b56f9f3b"}),
+    (["verify-hom", "--which", "h", "--r", "2", "--m", "3", "--d", "2"],
+     {"report.json": "ca2aeafe5f60"}),
+    (["verify-hom", "--which", "f", "--r", "1", "--m", "4", "--d", "2"],
+     {"report.json": "a81507321ea5"}),
+])
+def test_family_and_hom_artifacts_are_pinned(args, digests, tmp_path, capsys):
+    # sha256 prefixes of the artifacts' bytes
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {name: sha256((tmp_path / name).read_bytes()).hexdigest()[:12]
+            for name in digests} == digests
 
 
 def test_color_loads_instance_from_file(tmp_path, capsys):

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorreduce import (BOTTOM, CapExceededError, ColoredGraph, HomMap,
-                         MULTISET, SET, View, build_local1, build_relaxed,
-                         build_relaxed_levels, build_setlocal, build_typed,
-                         build_typed_levels, canonical_encode, center,
-                         chi_exact, class_defect, extract_all_views,
+                         MULTISET, SET, ParameterError, View, build_local1,
+                         build_relaxed, build_relaxed_levels, build_setlocal,
+                         build_typed, build_typed_levels, canonical_encode,
+                         center, chi_exact, class_defect, extract_all_views,
                          is_independent, mutual_edge, relaxed_to_typed_hom,
                          typed_to_setlocal_hom, types, verify_homomorphism)
-from colorreduce.nbhd import DEFAULT_CAP, _wire
+from colorreduce.nbhd import (DEFAULT_CAP, SETLOCAL, TYPED, _build_levels, _finish,
+                              _wire, centers_of)
 
 
 def leaf(kind, c):
@@ -76,14 +77,24 @@ def test_cap_refusal_says_upper_bound_only_where_filtered():
             build(built - 1)
         assert err.value.projected == built
         assert "vertices" in str(err.value) and "upper bound" not in str(err.value)
-    # the typed filter drops some of what the projection counts
-    for build, projected in ((lambda cap: build_setlocal(2, 3, 3, cap=cap), 72),
-                             (lambda cap: build_typed(1, 4, 3, cap=cap), 32)):
-        assert build(DEFAULT_CAP).n_vertices < projected
-        with pytest.raises(CapExceededError) as err:
-            build(projected - 1)
-        assert err.value.projected == projected
-        assert "vertices (upper bound)" in str(err.value)
+    # the type filter drops some of what the projection counts
+    assert build_setlocal(2, 3, 3).n_vertices < 72
+    with pytest.raises(CapExceededError) as err:
+        build_setlocal(2, 3, 3, cap=71)
+    assert err.value.projected == 72
+    assert "vertices (upper bound)" in str(err.value)
+    # typed is cut from setlocal's levels, so setlocal's projection and
+    # error refuse it: exact at level 1, "(upper bound)" above
+    for r, m, d, cap in ((1, 4, 3, 31), (3, 3, 2, 248)):
+        refusals = []
+        for build in (build_typed, build_setlocal):
+            with pytest.raises(CapExceededError) as err:
+                build(r, m, d, cap=cap)
+            refusals.append((err.value.projected, str(err.value)))
+        assert refusals[0] == refusals[1]
+        assert refusals[0][0] == cap + 1
+        assert ("(upper bound)" in refusals[0][1]) == (r > 1)
+    assert build_typed(3, 3, 2, cap=249).n_vertices == 108
 
 
 def test_local1_counts():
@@ -141,6 +152,50 @@ def test_typed_vertices_subset_of_relaxed_with_induced_edges():
         u, v = nt.vertices[i], nt.vertices[j]
         if u in typed_set and v in typed_set:
             assert ntilde.vertex_index(v) in ntilde.adjacency[ntilde.vertex_index(u)]
+
+
+def oracle_typed_levels(r, m, d):
+    """Levels 0..r of typed as its own filtered expansion: level i+1
+    keeps the (x, A), A at most d of x's level-i neighbors, with
+    centers_of(A) == types(x), sorted and wired by _finish."""
+    levels = [_finish(TYPED, m, d, 0, SET, [leaf(SET, c) for c in range(1, m + 1)],
+                      DEFAULT_CAP)]
+    for level in range(1, r + 1):
+        prev, vertices = levels[-1], []
+        for x, row in zip(prev.vertices, prev.adjacency):
+            nbrs = [prev.vertices[j] for j in row]
+            for k in range(d + 1):
+                vertices += [View.make(SET, x, combo) for combo in combinations(nbrs, k)
+                             if centers_of(combo) == types(x)]
+        levels.append(_finish(TYPED, m, d, level, SET, vertices, DEFAULT_CAP))
+    return levels
+
+
+@pytest.mark.parametrize("r,m,d", [(1, 3, 2), (1, 4, 2), (2, 3, 2), (2, 4, 3), (3, 3, 2),
+                                   (2, 5, 2), (3, 4, 2), (2, 4, 2), (1, 4, 3), (2, 3, 3)])
+def test_typed_levels_match_filtered_expansion_oracle(r, m, d):
+    built = build_typed_levels(r, m, d)
+    # NbhdGraph equality compares family, m, degree_param, level, variant,
+    # vertices and rows
+    assert built == oracle_typed_levels(r, m, d)
+    # setlocal holds m more vertices per level >= 1, isolated with empty A
+    for typed, setlocal in zip(built, _build_levels(SETLOCAL, r, m, d, DEFAULT_CAP)):
+        isolated = [i for i, v in enumerate(setlocal.vertices) if not typed.has_vertex(v)]
+        assert len(isolated) == (m if typed.level else 0)
+        assert setlocal.n_vertices == typed.n_vertices + len(isolated)
+        for i in isolated:
+            assert setlocal.vertices[i].child_size == 0 and setlocal.adjacency[i] == ()
+
+
+@pytest.mark.parametrize("build,args", [
+    (build_setlocal, (1.5, 3, 2)), (build_setlocal, (1, 3, True)),
+    (build_local1, (5, 2.5)), (build_local1, ("5", 2)), (build_relaxed, (1, 3.0, 2)),
+    (build_relaxed_levels, (1, 3, None)), (build_typed, (True, 3, 2)),
+    (build_typed_levels, (1, 3, "2")),
+])
+def test_builders_refuse_non_integer_parameters(build, args):
+    with pytest.raises(ParameterError):
+        build(*args)
 
 
 def test_edge_rule_symmetry_and_same_center_non_adjacency():
@@ -582,6 +637,16 @@ def test_verify_reports_membership_violations():
     hom = HomMap(nt, ntilde, {v: v for v in nt.vertices}, name="identity")
     report = verify_homomorphism(hom)
     assert len(report.missing_images) == 3  # the empty-set vertices
+    assert not report.ok
+
+
+def test_verify_reports_vertices_left_without_image():
+    g = build_relaxed(1, 3, 2)
+    hom = HomMap(g, g, {g.vertices[0]: g.vertices[0]}, name="partial")
+    report = verify_homomorphism(hom)
+    assert report.missing_images == g.vertices[1:]
+    # no edge is a loop, so every edge has an endpoint without an image
+    assert len(report.broken_edges) == g.n_edges > 0
     assert not report.ok
 
 
