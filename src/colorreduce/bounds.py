@@ -17,6 +17,9 @@ Every refuter runs one counting step.  `_first_uncovered` drops the
 classes' global sources and takes the first remaining candidates as a
 clique T; `_least_owned` picks the member of T that is a T-source for the
 fewest classes (pigeonhole); the classes that own it are then blocked.
+A class may have at most d + 1 (d, W)-sources inside a clique W, and one
+blocking set of at most d + 1 members keeps x out of it; both one-round
+refuters run this step in `_one_round_node`, the orientations at d = 0.
 Every source notion is one predicate over one map.  The cover of a class
 sends each center x to the union of the neighbor collections of the
 members centered at x, and x is a (d, W)-source iff `_blocking_set` finds
@@ -93,6 +96,13 @@ def class_defect(nodes) -> int:
 _color = attrgetter("base_color")
 
 
+def _need_ints(**params):
+    """ParameterError unless every parameter is an int (bool is not)."""
+    if not all(type(p) is int for p in params.values()):
+        raise ParameterError(f"need integer {', '.join(params)}, got "
+                             + ", ".join(f"{k}={v!r}" for k, v in params.items()))
+
+
 def _cover(class_nodes, m=None) -> dict:
     """Center -> union of the distinct children of the members centered
     there, both read as colors in [1, m] when m is given (level-1 code
@@ -141,13 +151,17 @@ def _blocking_set(cover, x, within, d=0, members=None):
     return None
 
 
+def _check_per_class(source_sets, per_class: int, what: str):
+    for k, found in enumerate(source_sets):
+        if len(found) > per_class:
+            raise ConstructionError(f"class {k} has {len(found)} {what}; "
+                                    f"the counting bound allows {per_class}")
+
+
 def _first_uncovered(candidates, source_sets, size: int, per_class: int) -> list:
     """The first `size` candidates that are no class's global source, where
     `source_sets[k]` holds class k's and may hold at most per_class."""
-    for k, found in enumerate(source_sets):
-        if len(found) > per_class:
-            raise ConstructionError(
-                f"class {k} has {len(found)} global sources; the counting bound allows {per_class}")
+    _check_per_class(source_sets, per_class, "global sources")
     banned = set().union(*source_sets)
     T = list(islice((v for v in candidates if v not in banned), size))
     if len(T) < size:
@@ -160,10 +174,7 @@ def _least_owned(group, source_sets, per_class: int):
     own as a group-source, and those classes.  `source_sets[k]` holds class
     k's group-sources, at most per_class of them, so pigeonhole puts at
     most c * per_class / |group| classes on x."""
-    for k, found in enumerate(source_sets):
-        if len(found) > per_class:
-            raise ConstructionError(f"class {k} has {len(found)} sources in a clique; "
-                                    f"the counting bound allows {per_class}")
+    _check_per_class(source_sets, per_class, "sources in a clique")
     counts = []
     for i, x in enumerate(group):
         owning = [k for k, found in enumerate(source_sets) if x in found]
@@ -193,9 +204,6 @@ class Orientation:
         """True iff the pair {x, y} points from x to y."""
         return y in self.heads.get(x, ())
 
-    def is_source_within(self, x: int, within) -> bool:
-        return _blocking_set(self.heads, x, within) is None
-
 
 def orientation_of(class_nodes, m: int) -> Orientation:
     cover = _cover(class_nodes, m)
@@ -220,26 +228,30 @@ def _infer_kind(classes):
     return MULTISET
 
 
-def _one_round_node(classes, kind, m: int, delta: int, per_class: int,
-                    is_source, blocker) -> View:
+def _one_round_node(classes, kind, m: int, delta: int, d: int, covers, members) -> View:
     """The counting step on colors that both one-round refuters run.
 
-    `is_source(k, x, W)` is class k's source test, with at most per_class
-    sources inside any clique of colors, and `blocker(k, x)` gives colors
-    that keep (x, A) out of class k once A holds them.  T is the first
-    floor(delta/2)+1 colors that are no class's global source, x the member
-    of T owned as a T-source by the fewest classes, and A is T\\{x} plus one
-    blocker per owning class.  |A| stays strictly below delta.
+    Class k's (d, W)-sources are the colors x for which
+    `_blocking_set(covers[k], x, W, d, members[k])` finds no blocking set;
+    inside any clique of colors there are at most d+1 of them (on the
+    orientation heads, a tournament, at most one: a second source y would
+    need x in heads(y) and y in heads(x)).  T is the first floor(delta/2)+1
+    colors that are no class's global source, x the member of T owned as a
+    T-source by the fewest classes, and A is T\\{x} plus the first blocking
+    set over all colors of each owning class, so (x, A) lies in none of
+    them.  |A| stays strictly below delta.
     """
     colors, c = range(1, m + 1), len(classes)
-    T = _first_uncovered(
-        colors, [[x for x in colors if is_source(k, x, colors)] for k in range(c)],
-        delta // 2 + 1, per_class)
-    x, owning = _least_owned(T, [[y for y in T if is_source(k, y, T)] for k in range(c)],
-                             per_class)
+
+    def source_sets(within):
+        return [[x for x in within if _blocking_set(cover, x, within, d, sets) is None]
+                for cover, sets in zip(covers, members)]
+
+    T = _first_uncovered(colors, source_sets(colors), delta // 2 + 1, d + 1)
+    x, owning = _least_owned(T, source_sets(T), d + 1)
     a_set = set(T) - {x}
     for k in owning:
-        block = blocker(k, x)
+        block = _blocking_set(covers[k], x, colors, d, members[k])
         if block is None:
             raise ConstructionError(f"class {k}: no blocker although {x} is not a global source")
         a_set.update(block)
@@ -250,7 +262,7 @@ def _one_round_node(classes, kind, m: int, delta: int, per_class: int,
                      (View.leaf(kind, y) for y in sorted(a_set)))
     # independent re-verification, off the construction path
     for k in range(c):
-        if is_source(k, x, a_set):
+        if _blocking_set(covers[k], x, a_set, d, members[k]) is None:
             raise ConstructionError(f"result is covered by class {k}")
         if any(node is member for member in classes[k]):
             raise ConstructionError(f"result is a member of class {k}")
@@ -260,12 +272,17 @@ def _one_round_node(classes, kind, m: int, delta: int, per_class: int,
 def uncovered_local1_node(classes, m: int, delta: int, kind=None) -> View:
     """A one-round vertex (x, A) covered by none of <= delta^2/4 classes.
 
-    Runs `_one_round_node` with each class's orientation: a tournament, so
-    at most one source per clique, and x in T owned by at most c/|T|
-    classes.  Each owning class is blocked by its first color pointing
+    Runs `_one_round_node` at d = 0 on each class's orientation heads.
+    They form a tournament: for x != y exactly one of y in heads(x) and
+    x in heads(y) holds (a demanded pair points one way, as
+    `orientation_of` rejects classes demanding both; an undemanded one
+    points low -> high).  So a clique holds at most one source of a class,
+    x in T is owned by at most c/|T| classes, and the blocker of an owning
+    class, the first color outside heads(x), is its first color pointing
     into x.  The result uses the class members' view kind (multiset when
     the classes are empty).
     """
+    _need_ints(m=m, delta=delta)
     classes = [list(cl) for cl in classes]
     if kind is None:
         kind = _infer_kind(classes)
@@ -274,16 +291,8 @@ def uncovered_local1_node(classes, m: int, delta: int, kind=None) -> View:
         raise ParameterError(f"need c <= delta^2/4, got c={c}, delta={delta}")
     if 4 * m < delta * delta + 2 * delta + 4:
         raise ParameterError(f"need m >= delta^2/4 + delta/2 + 1, got m={m}, delta={delta}")
-    orientations = [orientation_of(cl, m) for cl in classes]
-
-    def is_source(k, x, within):
-        return orientations[k].is_source_within(x, within)
-
-    def inward(k, x):
-        oriented = orientations[k].oriented
-        return next(((y,) for y in range(1, m + 1) if y != x and oriented(y, x)), None)
-
-    return _one_round_node(classes, kind, m, delta, 1, is_source, inward)
+    heads = [orientation_of(cl, m).heads for cl in classes]
+    return _one_round_node(classes, kind, m, delta, 0, heads, [None] * c)
 
 
 # --- recursive sources and chains ----------------------------------------
@@ -400,6 +409,7 @@ def refute_relaxed(classes, r: int, m: int, bound: int, levels=None,
     (r*d+1)-clique with d = bound/(2r); each `uncovered_clique_step`
     shrinks the uncovered clique by d while climbing one level.
     """
+    _need_ints(r=r, m=m, bound=bound)
     classes = [frozenset(cl) for cl in classes]
     c = len(classes)
     if r < 1:
@@ -451,10 +461,15 @@ def defective_sources(class_nodes, m: int, d: int, within=None) -> list[int]:
     """Colors x in `within` such that every nonempty subset B of the
     restricted neighborhood with |B| <= d+1 sits inside some class member
     centered at x, that is, `_blocking_set` finds none.  With d = 0 this is
-    exactly the plain source notion."""
+    exactly the plain source notion.  `within` must hold colors in [1, m]."""
+    _need_ints(m=m, d=d)
     if d < 0:
         raise ParameterError("need d >= 0")
-    within = range(1, m + 1) if within is None else sorted(set(within))
+    within = range(1, m + 1) if within is None else list(within)
+    outside = [w for w in within if type(w) is not int or not 1 <= w <= m]
+    if outside:
+        raise ParameterError(f"within colors {outside} are not integers in [1, {m}]")
+    within = sorted(set(within))
     cover = _cover(class_nodes, m)
     members = _member_sets(class_nodes) if d else None
     return [x for x in within if _blocking_set(cover, x, within, d, members) is None]
@@ -464,10 +479,11 @@ def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> 
     """A one-round vertex outside every class of a d-defective family with
     at most delta^2 / (4(d+1)^2) classes, for m >= 2*delta^2.
 
-    Runs `_one_round_node` with (d, W)-sources: each class has at most d+1
-    of them inside any clique of colors, and each owning class is blocked
-    by its smallest blocking set, of size <= d+1.
+    Runs `_one_round_node` on the class covers and member sets: at most
+    d+1 (d, W)-sources per class inside any clique of colors, and each
+    owning class is blocked by its first blocking set, of size <= d+1.
     """
+    _need_ints(m=m, delta=delta, d=d)
     classes = [list(cl) for cl in classes]
     if kind is None:
         kind = _infer_kind(classes)
@@ -485,14 +501,7 @@ def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> 
     covers = [_cover(cl, m) for cl in classes]
     # only blocking sets of two or more colors read the members
     members = [_member_sets(cl) if d else None for cl in classes]
-
-    def is_source(k, x, within):
-        return _blocking_set(covers[k], x, within, d, members[k]) is None
-
-    def smallest_block(k, x):
-        return _blocking_set(covers[k], x, range(1, m + 1), d, members[k])
-
-    return _one_round_node(classes, kind, m, delta, d + 1, is_source, smallest_block)
+    return _one_round_node(classes, kind, m, delta, d, covers, members)
 
 
 # --- headline parameter arithmetic ----------------------------------------
@@ -522,6 +531,7 @@ def lower_bound_rounds(delta: int, C: float = 1.0, eta: float = 0.0) -> BoundRep
         raise ParameterError(f"eta must lie in [0, 1), got {eta}")
     if C <= 0:
         raise ParameterError(f"C must be positive, got {C}")
+    _need_ints(delta=delta)
     if delta < 1:
         raise ParameterError("delta must be >= 1")
     D = (2 * C * delta ** (2 + eta)) ** (1.0 / 3.0)

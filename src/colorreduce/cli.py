@@ -161,6 +161,8 @@ def cmd_chi(args, parser):
 
 def cmd_refute(args, parser):
     family = FAMILY_ALIASES[args.family]
+    if family not in (nbhd.LOCAL1, nbhd.RELAXED):
+        parser.error("refute supports --family nh1 or nt")
     kind = MULTISET if args.variant == "multiset" else SET
     try:
         with open(args.classes) as fh:
@@ -178,10 +180,8 @@ def cmd_refute(args, parser):
             node = bounds.uncovered_defective_node(classes, args.m, args.d, args.defect, kind=kind)
         else:
             node = bounds.uncovered_local1_node(classes, args.m, args.d, kind=kind)
-    elif family == nbhd.RELAXED:
-        node = bounds.refute_relaxed(classes, args.r, args.m, args.d, cap=args.cap)
     else:
-        parser.error("refute supports --family nh1 or nt")
+        node = bounds.refute_relaxed(classes, args.r, args.m, args.d, cap=args.cap)
     transcript["uncovered"] = view_to_json(node)
     absent = all(node not in set(cl) for cl in classes)
     transcript["verified_absent_from_all_classes"] = absent

@@ -1,6 +1,7 @@
 """Colored graphs, coloring validators, and seeded instance generators.
 
-Graphs are immutable after construction and every operation here is pure,
+Graphs and assignments are immutable after construction (rows and colors
+given as lists are stored as tuples) and every operation here is pure,
 so values can be shared freely between concurrent callers.  Colors are
 1-based; palette bounds are explicit so that "color out of palette" and
 "coloring not proper" stay distinguishable failures.
@@ -35,6 +36,9 @@ class ColoredGraph:
     delta_cap: int
 
     def __post_init__(self):
+        # rows and colors given as lists are frozen here (a tuple is kept as is)
+        object.__setattr__(self, "adjacency", tuple(map(tuple, self.adjacency)))
+        object.__setattr__(self, "psi", tuple(self.psi))
         if self.n < 1:
             raise GraphError("graph needs at least one node")
         if len(self.adjacency) != self.n or len(self.psi) != self.n:
@@ -68,10 +72,9 @@ class ColoredGraph:
                 raise GraphError(f"edge {u}-{v} has an endpoint outside [0, {n})")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        adjacency = tuple(tuple(sorted(s)) for s in nbrs)
         if delta_cap is None:
-            delta_cap = max((len(s) for s in adjacency), default=0)
-        return ColoredGraph(n, adjacency, tuple(psi), m, delta_cap)
+            delta_cap = max(map(len, nbrs), default=0)
+        return ColoredGraph(n, [sorted(s) for s in nbrs], psi, m, delta_cap)
 
     def degree(self, v):
         return len(self.adjacency[v])
@@ -96,6 +99,9 @@ class ColorAssignment:
 
     colors: tuple[int, ...]
     palette: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "colors", tuple(self.colors))
 
     def __getitem__(self, v):
         return self.colors[v]
@@ -186,7 +192,7 @@ def random_colored_tree(n: int, delta_cap: int, m: int, seed: int) -> ColoredGra
         if c >= psi[rows[v][0]]:
             c += 1
         psi[v] = c
-    return ColoredGraph(n, tuple(map(tuple, rows)), tuple(psi), m, delta_cap)
+    return ColoredGraph(n, rows, psi, m, delta_cap)
 
 
 def graph_to_json(g: ColoredGraph) -> dict:

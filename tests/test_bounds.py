@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,7 @@ from colorreduce import (MULTISET, SET, CapExceededError, ConstructionError,
                          lower_bound_rounds, orientation_of, refute_relaxed,
                          source_chain, sources, uncovered_clique_step,
                          uncovered_defective_node, uncovered_local1_node)
-from colorreduce.bounds import (_first_uncovered, _least_owned,
+from colorreduce.bounds import (_blocking_set, _first_uncovered, _least_owned,
                                 random_defective_classes,
                                 random_independent_sets, random_relaxed_class)
 from colorreduce.nbhd import mutual_edge
@@ -62,6 +63,22 @@ def test_orientation_matches_forward_pairs(m, delta, host_7_4):
         for x in range(1, m + 1):
             for y in range(1, m + 1):
                 assert o.oriented(x, y) == oracle(x, y), (x, y)
+
+
+@pytest.mark.parametrize("m,delta", [(5, 3), (6, 4), (7, 4)])
+def test_orientation_heads_form_a_tournament(m, delta, host_7_4):
+    # the local1 refuter blocks an owning class by the first color outside
+    # heads(x); that is its first color pointing into x only on a tournament
+    host = host_7_4 if (m, delta) == (7, 4) else build_local1(m, delta, MULTISET)
+    colors = range(1, m + 1)
+    for cls in random_independent_sets(host, 12, seed=m + 1):
+        o = orientation_of(cls, m)
+        for x in colors:
+            for y in colors:
+                if x != y:
+                    assert o.oriented(x, y) != o.oriented(y, x), (x, y)
+            inward = next(((y,) for y in colors if y != x and o.oriented(y, x)), None)
+            assert _blocking_set(o.heads, x, colors) == inward, x
 
 
 def test_orientation_rejects_dependent_class():
@@ -536,6 +553,14 @@ def test_defective_sources_rejects_negative_defect():
         defective_sources(cls, 3, -3)
 
 
+def test_defective_sources_rejects_within_outside_the_palette():
+    for within in ([99], [2.5], [0], [1, True], [3, "2"]):
+        with pytest.raises(ParameterError, match=r"\[.*\] are not integers in \[1, 5\]"):
+            defective_sources([], 5, 0, within=within)
+    assert defective_sources([], 5, 0, within=[3, 3]) == [3]
+    assert defective_sources([node(MULTISET, 1, [2])], 5, 0, within=[2, 1]) == [1]
+
+
 def test_defective_sources_clique_bound():
     # induced degree <= d forces at most d+1 sources inside the color clique
     for seed in range(50):
@@ -586,3 +611,22 @@ def test_lower_bound_parameter_errors():
         lower_bound_rounds(16, 1, 1.0)
     with pytest.raises(ParameterError):
         lower_bound_rounds(16, 0, 0.5)
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: uncovered_local1_node([], 7, 4.0), "delta=4.0"),
+    (lambda: uncovered_local1_node([], 7.5, 4), "m=7.5"),
+    (lambda: uncovered_local1_node([], True, 4), "m=True"),
+    (lambda: uncovered_defective_node([], 32, 4, True), "d=True"),
+    (lambda: uncovered_defective_node([], 32.0, 4, 0), "m=32.0"),
+    (lambda: defective_sources([], 5, 0.0), "d=0.0"),
+    (lambda: defective_sources([], "5", 0), "m='5'"),
+    (lambda: refute_relaxed([], 1.0, 7, 4), "r=1.0"),
+    (lambda: refute_relaxed([], 1, 7, 4.0), "bound=4.0"),
+    (lambda: lower_bound_rounds(True), "delta=True"),
+    (lambda: lower_bound_rounds(8.5), "delta=8.5"),
+], ids=["local1-delta", "local1-m", "local1-bool-m", "defective-d", "defective-m",
+        "sources-d", "sources-m", "relaxed-r", "relaxed-bound", "bound-bool", "bound-float"])
+def test_refuters_refuse_non_integer_parameters(call, named):
+    with pytest.raises(ParameterError, match="need integer .*" + re.escape(named)):
+        call()

@@ -132,6 +132,18 @@ def test_refute_domain_failure_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("classes", ["missing.json", "classes.json"])
+def test_refute_unsupported_family_is_a_usage_error(classes, tmp_path, capsys):
+    # the family is checked before the classes file is read
+    (tmp_path / "classes.json").write_text("[]")
+    with pytest.raises(SystemExit) as exc:
+        main(["refute", "--family", "nsl", "--m", "7", "--d", "4",
+              "--classes", str(tmp_path / classes), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "refute supports --family nh1 or nt" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def _assert_one_error_line(code, capsys):
     err = capsys.readouterr().err
     assert code == 1

@@ -69,6 +69,23 @@ def test_graph_invariants_enforced():
         ColoredGraph.from_edges(1, [(0, 0)], [1], 2, 2)
 
 
+def test_graphs_and_assignments_built_from_lists_are_frozen():
+    g = ColoredGraph(3, [[1], [0, 2], [1]], [1, 2, 1], 2, 2)
+    assert g.adjacency == ((1,), (0, 2), (1,)) and g.psi == (1, 2, 1)
+    with pytest.raises(AttributeError):
+        g.adjacency[0].append(2)
+    phi = ColorAssignment([1, 2, 1], 2)
+    assert phi.colors == (1, 2, 1)
+    with pytest.raises(TypeError):
+        phi.colors[0] = 5
+    assert validate_proper(g, phi)
+    assert hash(g) == hash(ColoredGraph.from_edges(3, [(0, 1), (1, 2)], (1, 2, 1), 2, 2))
+    # rows and colors given as tuples are kept as they are
+    rows, psi = ((1,), (0,)), (1, 2)
+    h = ColoredGraph(2, rows, psi, 2, 1)
+    assert all(a is b for a, b in zip(h.adjacency, rows)) and h.psi is psi
+
+
 def test_random_tree_single_node():
     g = random_colored_tree(1, 2, 3, seed=42)
     assert g.n == 1 and g.adjacency == ((),)
