@@ -40,7 +40,7 @@ from itertools import combinations, islice
 from operator import attrgetter
 from types import MappingProxyType
 
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, _need_ints
 from .nbhd import DEFAULT_CAP, NbhdGraph, build_relaxed_levels, mutual_edge
 from .views import MULTISET, SET, View, canonical_encode
 
@@ -94,13 +94,6 @@ def class_defect(nodes) -> int:
 
 
 _color = attrgetter("base_color")
-
-
-def _need_ints(**params):
-    """ParameterError unless every parameter is an int (bool is not)."""
-    if not all(type(p) is int for p in params.values()):
-        raise ParameterError(f"need integer {', '.join(params)}, got "
-                             + ", ".join(f"{k}={v!r}" for k, v in params.items()))
 
 
 def _cover(class_nodes, m=None) -> dict:
@@ -347,6 +340,7 @@ def uncovered_clique_step(T, next_class_sets, level_graph: NbhdGraph,
     rest of the clique plus one blocking witness (`_blocking_set` over
     its neighborhood) per class that owns it.
     """
+    _need_ints(p=p, d=d, bound=bound)
     T = sorted(T, key=canonical_encode)
     c = len(next_class_sets)
     if len(T) != p + d:

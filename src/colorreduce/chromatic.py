@@ -6,8 +6,8 @@ solver.  Budgets are counted in node expansions (color assignments
 tried) rather than wall time, so identical calls give identical results.
 
 Every entry point takes its graph through as_adjacency, which returns
-the neighbor rows of an NbhdGraph or ColoredGraph as they are (no row
-is copied) and checks plain rows once.  The search relabels vertices by
+the checked rows (graphs._Rows) an NbhdGraph or ColoredGraph holds, no
+row copied, and checks plain rows once.  The search relabels vertices by
 static rank (degree descending, then index) and works on int bitmasks
 over ranks: one neighborhood mask per vertex, one mask per color of the
 ranks it saturates, and one mask per saturation level of the uncolored
@@ -15,89 +15,37 @@ ranks (DSATUR, Brelaz 1979).  An expansion or its undo costs a few
 big-int ANDs per saturation level, not a walk over the vertex's
 neighbors.  The rank order and the masks belong to the checked rows:
 they are built on first use and take n*n/8 bytes, every solver call on
-one as_adjacency value shares them, and they live as long as that value
-does.  The greedy clique grows on the same masks.  The branching order,
-and with it every expansion count, witness and budget outcome, is that
-of the plain saturation-greedy scan.
+one graph (or one as_adjacency value) shares them, and they live as long
+as the graph does.  The greedy clique grows on the same masks.  The
+branching order, and with it every expansion count, witness and budget
+outcome, is that of the plain saturation-greedy scan.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ConstructionError, ParameterError
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, _Rows
 from .nbhd import NbhdGraph
 from .views import View, canonical_encode
-
-
-class _Rows(tuple):
-    """Checked neighbor rows: row v is a sorted tuple of v's neighbors,
-    each in [0, n), none equal to v, and u is in row v exactly when v is
-    in row u.
-
-    The rows carry their rank space.  order[r] is the vertex of rank r
-    (degree descending, then index), and masks[r] holds the ranks of r's
-    neighbors as the bits of one int.  Both are built on first use and
-    cached on the value; assignment and deletion raise AttributeError
-    (cached_property writes the instance dict, not through __setattr__).
-    """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"checked rows are immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"checked rows are immutable; cannot delete {name!r}")
-
-    @cached_property
-    def order(self) -> tuple[int, ...]:
-        return tuple(sorted(range(len(self)), key=lambda v: (-len(self[v]), v)))
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        rank = [0] * len(self)
-        for r, v in enumerate(self.order):
-            rank[v] = r
-        # one byte update per edge end and one conversion per row; summing
-        # powers of two would copy the growing int once per neighbor
-        byte = [r >> 3 for r in rank]
-        bit = [1 << (r & 7) for r in rank]
-        zeros = bytes((len(self) + 7) // 8)
-        masks = []
-        for v in self.order:
-            row = bytearray(zeros)
-            for u in self[v]:
-                row[byte[u]] |= bit[u]
-            masks.append(int.from_bytes(row, "little"))
-        return tuple(masks)
 
 
 def as_adjacency(g) -> _Rows:
     """The one checked graph input of the solver.
 
-    The rows of NbhdGraph and ColoredGraph are wrapped as they are, with
-    no row copied (their constructors make them sorted, loop-free and
-    symmetric), and a _Rows comes back unchanged.  Plain rows must name
-    vertices in range, hold no self-loop and be symmetric, or
-    ParameterError is raised; they come back as sorted tuples without
-    repeats."""
-    if isinstance(g, _Rows):
-        return g
-    if isinstance(g, (NbhdGraph, ColoredGraph)):
-        return _Rows(g.adjacency)
-    adj = [set(nbrs) for nbrs in g]
-    n = len(adj)
-    for v, nbrs in enumerate(adj):
-        for u in nbrs:
-            if not (type(u) is int and 0 <= u < n):
-                raise ParameterError(f"vertex {v} has neighbor {u!r} outside [0, {n})")
-            if u == v:
-                raise ParameterError(f"vertex {v} has a self-loop")
-            if v not in adj[u]:
-                raise ParameterError(f"edge {v}-{u} is listed only at {v}")
-    return _Rows(tuple(sorted(nbrs)) for nbrs in adj)
+    An NbhdGraph or ColoredGraph gives its own rows, checked when the
+    graph was built, and a _Rows comes back unchanged, so every solver
+    call on one graph shares its rank space.  Plain rows are deduplicated
+    and sorted, then pass the one rows check (_Rows.checked) with
+    ParameterError; so does a row that cannot be sorted."""
+    if isinstance(g, (NbhdGraph, ColoredGraph, _Rows)):
+        return getattr(g, "adjacency", g)
+    try:
+        return _Rows.checked([sorted(set(row)) for row in g], ParameterError)
+    except TypeError as exc:  # a row or entry that does not hash or sort
+        raise ParameterError(f"rows must list integer neighbors: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -154,11 +102,7 @@ def embedded_clique(graph: NbhdGraph) -> list[int] | None:
 def clique_lower_bound(g) -> int:
     """Size of the greedy clique, raised to the planted clique of a
     level-1 neighborhood graph when that is larger."""
-    return _clique_bound(g, as_adjacency(g))
-
-
-def _clique_bound(g, adj: _Rows) -> int:
-    lower = len(greedy_clique(adj))
+    lower = len(greedy_clique(g))
     planted = embedded_clique(g) if isinstance(g, NbhdGraph) else None
     return lower if planted is None else max(lower, len(planted))
 
@@ -339,7 +283,8 @@ def chi_exact(g, budget: int = 1_000_000) -> ChiResult:
     witness, upper = dsatur(adj)
     best_witness = tuple(witness)
     tracker = _Budget(budget)
-    k = max(_clique_bound(g, adj), 1)
+    # plain rows are checked once: the bound reads their checked copy
+    k = max(clique_lower_bound(g if isinstance(g, NbhdGraph) else adj), 1)
     # an "unknown" leaves the tracker overspent, which ends the loop
     while k < upper and tracker.used < budget:
         status, wit = _decide_k(adj, k, tracker)
@@ -355,7 +300,7 @@ def export_dimacs(g, path) -> None:
     undirected edge, 1-based.  For neighborhood graphs a sidecar JSON at
     <path>.map.json maps DIMACS indices to canonical vertex encodings."""
     adj = as_adjacency(g)
-    edges = [(u, v) for u in range(len(adj)) for v in adj[u] if u < v]
+    edges = list(adj.edges())
     with open(path, "w") as fh:
         fh.write(f"p edge {len(adj)} {len(edges)}\n")
         for u, v in edges:

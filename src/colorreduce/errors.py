@@ -47,3 +47,10 @@ class ConstructionError(ColorReduceError):
     solver's witness check on states their correctness arguments rule
     out; any occurrence is a bug, never an expected runtime condition.
     """
+
+
+def _need_ints(**params):
+    """ParameterError unless every parameter is an int (bool is not)."""
+    if not all(type(p) is int for p in params.values()):
+        raise ParameterError(f"need integer {', '.join(params)}, got "
+                             + ", ".join(f"{k}={v!r}" for k, v in params.items()))

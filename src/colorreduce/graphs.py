@@ -1,10 +1,14 @@
-"""Colored graphs, coloring validators, and seeded instance generators.
+"""Colored graphs, checked neighbor rows, coloring validators, and
+seeded instance generators.
 
 Graphs and assignments are immutable after construction (rows and colors
 given as lists are stored as tuples) and every operation here is pure,
-so values can be shared freely between concurrent callers.  Colors are
-1-based; palette bounds are explicit so that "color out of palette" and
-"coloring not proper" stay distinguishable failures.
+so values can be shared freely between concurrent callers.  The rows of
+a ColoredGraph, and of every neighborhood graph, are one checked rows
+value (_Rows): one check serves every graph, and the chromatic solver's
+rank space is cached on the rows, so it lives as long as the graph.
+Colors are 1-based; palette bounds are explicit so that "color out of
+palette" and "coloring not proper" stay distinguishable failures.
 """
 
 from __future__ import annotations
@@ -12,8 +16,81 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import CoverageError, GraphError, PaletteMismatchError, ParameterError
+from .errors import (CoverageError, GraphError, PaletteMismatchError, ParameterError,
+                     _need_ints)
+
+
+class _Rows(tuple):
+    """Checked neighbor rows: row v is a strictly ascending tuple of v's
+    neighbors, each an int in [0, n) other than v, and u is in row v
+    exactly when v is in row u.
+
+    _Rows(rows) trusts its input and is for builders whose rows are
+    correct by construction; _Rows.checked converts and checks any other
+    input.  The rows carry their rank space: order[r] is the vertex of
+    rank r (degree descending, then index), and masks[r] holds the ranks
+    of r's neighbors as the bits of one int.  Both are built on first use
+    and cached on the value; assignment and deletion raise AttributeError
+    (cached_property writes the instance dict, not through __setattr__).
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"checked rows are immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"checked rows are immutable; cannot delete {name!r}")
+
+    @classmethod
+    def checked(cls, rows, error=GraphError) -> _Rows:
+        """rows itself if it is a _Rows, else rows frozen row by row (a
+        tuple row is kept as is) and checked; `error` names the first fault."""
+        if isinstance(rows, cls):
+            return rows
+        rows = cls(map(tuple, rows))
+        n, mirrored = len(rows), 0
+        for v, row in enumerate(rows):
+            last = -1
+            for u in row:
+                if type(u) is not int or not 0 <= u < n:
+                    raise error(f"vertex {v} has neighbor {u!r} outside [0, {n})")
+                if u <= last or u == v:
+                    raise error(f"vertex {v} has a self-loop" if u == v
+                                else f"row {v} is not strictly ascending at {u}")
+                mirrored += u > v and v in rows[u]
+                last = u
+        # a mirrored pair is two entries: symmetric iff the pairs cover all
+        if 2 * mirrored != sum(map(len, rows)):
+            v, u = next((v, u) for v, row in enumerate(rows) for u in row if v not in rows[u])
+            raise error(f"edge {v}-{u} is listed only at {v}")
+        return rows
+
+    def edges(self):
+        """Each undirected edge once, as (u, v) with u < v."""
+        return ((u, v) for u, nbrs in enumerate(self) for v in nbrs if u < v)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(sorted(range(len(self)), key=lambda v: (-len(self[v]), v)))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        rank = [0] * len(self)
+        for r, v in enumerate(self.order):
+            rank[v] = r
+        # one byte update per edge end and one conversion per row; summing
+        # powers of two would copy the growing int once per neighbor
+        byte = [r >> 3 for r in rank]
+        bit = [1 << (r & 7) for r in rank]
+        zeros = bytes((len(self) + 7) // 8)
+        masks = []
+        for v in self.order:
+            row = bytearray(zeros)
+            for u in self[v]:
+                row[byte[u]] |= bit[u]
+            masks.append(int.from_bytes(row, "little"))
+        return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -23,42 +100,34 @@ class ColoredGraph:
     Attributes
     ----------
     n : node count (nodes are 0..n-1)
-    adjacency : one sorted neighbor tuple per node, symmetric, irreflexive
-    psi : initial color per node, each in [1, m], proper
+    adjacency : checked rows (_Rows), one strictly ascending neighbor
+        tuple per node, symmetric, irreflexive
+    psi : initial color per node, each an int in [1, m], proper
     m : initial palette size
     delta_cap : declared maximum degree (actual degrees may be smaller)
     """
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    adjacency: _Rows
     psi: tuple[int, ...]
     m: int
     delta_cap: int
 
     def __post_init__(self):
+        _need_ints(n=self.n, m=self.m, delta_cap=self.delta_cap)
         # rows and colors given as lists are frozen here (a tuple is kept as is)
-        object.__setattr__(self, "adjacency", tuple(map(tuple, self.adjacency)))
+        object.__setattr__(self, "adjacency", _Rows.checked(self.adjacency))
         object.__setattr__(self, "psi", tuple(self.psi))
         if self.n < 1:
             raise GraphError("graph needs at least one node")
         if len(self.adjacency) != self.n or len(self.psi) != self.n:
             raise GraphError("adjacency/psi length must equal n")
+        for v, c in enumerate(self.psi):
+            if type(c) is not int or not 1 <= c <= self.m:
+                raise GraphError(f"initial color {c!r} of node {v} outside [1, {self.m}]")
         for v, nbrs in enumerate(self.adjacency):
-            if len(set(nbrs)) != len(nbrs):
-                raise GraphError(f"duplicate neighbor at node {v}")
             if len(nbrs) > self.delta_cap:
                 raise GraphError(f"node {v} exceeds declared max degree {self.delta_cap}")
-            for u in nbrs:
-                if u == v:
-                    raise GraphError(f"loop at node {v}")
-                if not 0 <= u < self.n:
-                    raise GraphError(f"neighbor {u} of node {v} out of range")
-                if v not in self.adjacency[u]:
-                    raise GraphError(f"asymmetric edge {v}-{u}")
-        for v, c in enumerate(self.psi):
-            if not 1 <= c <= self.m:
-                raise GraphError(f"initial color {c} of node {v} outside [1, {self.m}]")
-        for v, nbrs in enumerate(self.adjacency):
             for u in nbrs:
                 if self.psi[u] == self.psi[v]:
                     raise GraphError(f"initial coloring not proper on edge {v}-{u}")
@@ -83,11 +152,7 @@ class ColoredGraph:
         return max(len(nbrs) for nbrs in self.adjacency)
 
     def edges(self):
-        """Yield each undirected edge once as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        return self.adjacency.edges()
 
     def n_edges(self):
         return sum(1 for _ in self.edges())

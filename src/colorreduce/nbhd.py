@@ -63,8 +63,11 @@ in A, with no scan over candidates.  The row is complete: a neighbor
 It has no repeats: every position has one center, so the buckets of
 distinct y are disjoint, and each lists a position once.  (x, A) is in
 its own row only through (x, x), that is when x is in A, and is dropped
-there.  An independence check keeps one set of the keys seen and stops
-at the first key whose reverse is already in it.
+there.  Each row is sorted, and the edge rule is symmetric, so the
+builders pass their rows to NbhdGraph as checked rows (graphs._Rows)
+without checking them again; the cut to typed keeps those properties.
+An independence check keeps one set of the keys seen and stops at the
+first key whose reverse is already in it.
 
 The recursive families blow up exponentially; builders project each
 level's vertex count first and refuse to exceed an explicit cap, which
@@ -82,7 +85,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 from types import MappingProxyType
 
-from .errors import CapExceededError, ConstructionError, ParameterError
+from .errors import (CapExceededError, ConstructionError, GraphError, ParameterError,
+                     _need_ints)
+from .graphs import _Rows
 from .views import MULTISET, SET, View, canonical_encode
 
 DEFAULT_CAP = 2_000_000
@@ -121,7 +126,7 @@ def mutual_edge(u: View, v: View) -> bool:
     return u.inner in v.child_lookup and v.inner in u.child_lookup
 
 
-def _wire(nodes, cap) -> tuple[tuple[int, ...], ...]:
+def _wire(nodes, cap) -> _Rows:
     """Row i lists, ascending, the positions j != i whose members the edge
     rule joins to position i; CapExceededError once the rows so far hold
     more than `cap` edges.
@@ -159,17 +164,21 @@ def _wire(nodes, cap) -> tuple[tuple[int, ...], ...]:
         wired += len(row)
         if wired > limit:
             raise CapExceededError(wired // 2, cap, what="edges (at least)")
-    return tuple(rows)
+    return _Rows(rows)
 
 
 @dataclass(frozen=True)
 class NbhdGraph:
     """A finite neighborhood graph with a canonical vertex order.
 
-    Vertices are sorted by canonical encoding; adjacency holds sorted
-    vertex indices.  degree_param is delta for local1/setlocal and the
-    neighbor-set bound D for relaxed; typed, setlocal without the views
-    of isolated nodes, keeps setlocal's delta as its D.
+    Vertices are sorted by canonical encoding and stored as a tuple;
+    adjacency is checked rows (graphs._Rows), one per vertex.  The
+    builders wire rows that are correct by construction and pass them
+    as _Rows; rows given any other way are frozen and checked, and a
+    fault, or a row count other than the vertex count, is a GraphError.
+    degree_param is delta for local1/setlocal and the neighbor-set
+    bound D for relaxed; typed, setlocal without the views of isolated
+    nodes, keeps setlocal's delta as its D.
     """
 
     family: str
@@ -178,10 +187,14 @@ class NbhdGraph:
     level: int
     variant: str
     vertices: tuple[View, ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    adjacency: _Rows
     _index: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "adjacency", _Rows.checked(self.adjacency))
+        if len(self.vertices) != len(self.adjacency):
+            raise GraphError(f"{len(self.vertices)} vertices but {len(self.adjacency)} rows")
         object.__setattr__(self, "_index", MappingProxyType(
             {v: i for i, v in enumerate(self.vertices)}))
 
@@ -203,10 +216,7 @@ class NbhdGraph:
         return tuple(self.vertices[j] for j in self.adjacency[self._index[v]])
 
     def edges(self):
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if i < j:
-                    yield (i, j)
+        return self.adjacency.edges()
 
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self.adjacency), default=0)
@@ -285,8 +295,7 @@ def _expand_level(prev: NbhdGraph, bound: int, cap: int) -> NbhdGraph:
 
 def _build_levels(family: str, r: int, m: int, d: int, cap: int,
                   kind=SET) -> list[NbhdGraph]:
-    if not all(type(p) is int for p in (r, m, d)):
-        raise ParameterError(f"need integer r, m, d, got r={r!r}, m={m!r}, d={d!r}")
+    _need_ints(r=r, m=m, d=d)
     if r < 0 or m < 2 or d < 1:
         raise ParameterError("need r >= 0, m >= 2, d >= 1")
     levels = [_finish(family, m, d, 0, kind, _clique_vertices(m, kind), cap)]
@@ -312,7 +321,7 @@ def _without_isolated_views(level: NbhdGraph) -> NbhdGraph:
     new = {old: pos for pos, old in enumerate(kept)}
     return NbhdGraph(TYPED, level.m, level.degree_param, level.level, level.variant,
                      tuple(level.vertices[i] for i in kept),
-                     tuple(tuple(new[j] for j in level.adjacency[i]) for i in kept))
+                     _Rows(tuple(new[j] for j in level.adjacency[i]) for i in kept))
 
 
 def build_typed_levels(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> list[NbhdGraph]:
@@ -421,7 +430,7 @@ def relaxed_to_typed_hom(r: int, m: int, d: int, cap: int = DEFAULT_CAP) -> HomM
     Verified before returning.
     """
     domain_levels = build_relaxed_levels(r, m, d, cap)
-    typed_levels = [build_typed_levels(i, m, (i + 1) * d, cap)[-1] for i in range(r + 1)]
+    typed_levels = [build_typed(i, m, (i + 1) * d, cap) for i in range(r + 1)]
 
     maps: list[dict[View, View]] = [{v: v for v in domain_levels[0].vertices}]
     for i in range(r):

@@ -284,6 +284,18 @@ def test_counting_step_refuses_more_sources_than_the_bound():
         uncovered_clique_step(T, [both, frozenset()], levels[0], p=1, d=3, bound=4)
 
 
+@pytest.mark.parametrize("p,d,bound,named", [
+    (1, 3.0, 4, "d=3.0"), (True, 3, 4, "p=True"), (1, 3, 4.0, "bound=4.0"),
+    (1, "3", 4, "d='3'"),
+])
+def test_clique_step_refuses_non_integer_parameters(p, d, bound, named):
+    levels = build_relaxed_levels(0, 5, 4)
+    T = [leaf(SET, c) for c in (1, 2, 3, 4)]
+    with pytest.raises(ParameterError, match="need integer p, d, bound, got .*"
+                       + re.escape(named)):
+        uncovered_clique_step(T, [frozenset()], levels[0], p=p, d=d, bound=bound)
+
+
 def test_least_owned_ties_go_by_position():
     assert _least_owned([5, 6, 7], [[5], [6], [7]], 1) == (5, [0])
     assert _least_owned([5, 6, 7], [[5], [], [7]], 1) == (6, [])

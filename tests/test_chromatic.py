@@ -469,9 +469,7 @@ def test_plain_rows_rejected_before_solving(rows, problem, monkeypatch, tmp_path
 def test_graph_rows_taken_as_they_are(host_7_4):
     tree = random_colored_tree(200, 4, 9, seed=3)
     for g in (host_7_4, tree):
-        rows = as_adjacency(g)
-        assert len(rows) == len(g.adjacency)
-        assert all(row is own for row, own in zip(rows, g.adjacency))
+        assert type(g.adjacency) is _Rows and as_adjacency(g) is g.adjacency
 
 
 def test_checked_rows_are_immutable_and_not_checked_twice():
@@ -485,7 +483,7 @@ def test_checked_rows_are_immutable_and_not_checked_twice():
         rows.extra = 1
 
 
-def test_one_rank_space_per_checked_rows(host_7_4, monkeypatch):
+def test_one_rank_space_per_checked_rows(monkeypatch):
     builds = []
     build_masks = _Rows.masks.func
 
@@ -496,15 +494,20 @@ def test_one_rank_space_per_checked_rows(host_7_4, monkeypatch):
     masks = cached_property(counted)
     masks.__set_name__(_Rows, "masks")
     monkeypatch.setattr(_Rows, "masks", masks)
-    rows = as_adjacency(host_7_4)
+    # a fresh host: the session one may carry its masks already
+    host = build_local1(7, 4, MULTISET)
+    rows = as_adjacency(host)
     assert len(greedy_clique(rows)) == 5
     assert dsatur(rows)[1] == 6
     assert is_k_colorable(rows, 5) == ("no", None)
     res = chi_exact(rows)
     assert builds == [1470]
     assert (res.lower, res.upper, res.exact, res.expansions_used) == (6, 6, True, 4750)
-    assert res == chi_exact(host_7_4)
-    assert builds == [1470, 1470]
+    assert res == chi_exact(host)
+    assert (len(greedy_clique(host)), dsatur(host)[1], clique_lower_bound(host)) == (5, 6, 5)
+    assert builds == [1470]
+    # plain rows are checked once per call, and their masks built once
+    assert chi_exact(TRIANGLE).upper == 3 and builds == [1470, 3]
     with pytest.raises(AttributeError):
         rows.masks = ()
     with pytest.raises(AttributeError):
@@ -512,9 +515,10 @@ def test_one_rank_space_per_checked_rows(host_7_4, monkeypatch):
 
 
 def test_chi_exact_shares_fresh_rows_across_threads(host_7_4):
-    # four threads meet the same rows before any rank space is cached
+    # four threads meet the same rows before any rank space is cached;
+    # the session host carries its own already
     expected = chi_exact(host_7_4)
-    rows = as_adjacency(host_7_4)
+    rows = as_adjacency(build_local1(7, 4, MULTISET))
     barrier = threading.Barrier(4)
     results = [None] * 4
 
@@ -531,12 +535,14 @@ def test_chi_exact_shares_fresh_rows_across_threads(host_7_4):
     assert results == [expected] * 4
 
 
-def test_chi_exact_local1_74_peak_memory(host_7_4):
+def test_chi_exact_local1_74_peak_memory():
     # the rows are the host's own tuples and the masks take n*n/8 bytes
-    # (270 kB here); a set copy of the rows alone took about 15 MB
+    # (270 kB here); a set copy of the rows alone took about 15 MB.  A
+    # fresh host, so the masks are built under the trace
+    host = build_local1(7, 4, MULTISET)
     tracemalloc.start()
     try:
-        chi_exact(host_7_4)
+        chi_exact(host)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

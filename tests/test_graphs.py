@@ -86,6 +86,30 @@ def test_graphs_and_assignments_built_from_lists_are_frozen():
     assert all(a is b for a, b in zip(h.adjacency, rows)) and h.psi is psi
 
 
+@pytest.mark.parametrize("rows,problem", [
+    ([[2, 1], [0], [0]], "not strictly ascending"),
+    ([[1, 1], [0, 0]], "not strictly ascending"),
+    ([[1], []], "listed only"),
+    ([[3], [0]], "outside"),
+    ([[True], [0]], "outside"),
+    ([[0], []], "self-loop"),
+])
+def test_colored_graph_rows_need_one_check(rows, problem):
+    psi = [1, 2, 2][:len(rows)]
+    with pytest.raises(GraphError, match=problem):
+        ColoredGraph(len(rows), rows, psi, 2, 2)
+
+
+@pytest.mark.parametrize("n,psi,m,delta_cap,error", [
+    (1, [1], 2.5, 0, ParameterError), (1.0, [1], 2, 0, ParameterError),
+    (1, [1], 2, True, ParameterError), (1, [True], 1, 0, GraphError),
+    (1, [1.0], 2, 0, GraphError),
+])
+def test_colored_graph_needs_integer_parameters_and_colors(n, psi, m, delta_cap, error):
+    with pytest.raises(error, match="need integer|initial color"):
+        ColoredGraph(n, [[]], psi, m, delta_cap)
+
+
 def test_random_tree_single_node():
     g = random_colored_tree(1, 2, 3, seed=42)
     assert g.n == 1 and g.adjacency == ((),)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorreduce import (BOTTOM, CapExceededError, ColoredGraph, HomMap,
-                         MULTISET, SET, ParameterError, View, build_local1,
+from colorreduce import (BOTTOM, CapExceededError, ColoredGraph, GraphError, HomMap,
+                         MULTISET, SET, NbhdGraph, ParameterError, View, build_local1,
                          build_relaxed, build_relaxed_levels, build_setlocal,
                          build_typed, build_typed_levels, canonical_encode,
                          center, chi_exact, class_defect, extract_all_views,
@@ -464,6 +464,20 @@ def test_nbhd_graph_is_frozen():
     with pytest.raises(TypeError):
         g._index[g.vertices[0]] = 1
     assert g.vertex_index(g.vertices[-1]) == g.n_vertices - 1
+
+
+def test_nbhd_graph_freezes_and_checks_given_rows():
+    a, b = leaf(SET, 1), leaf(SET, 2)
+    g = NbhdGraph("x", 2, 1, 0, SET, [a, b], [[1], [0]])
+    assert type(g.vertices) is tuple and g.adjacency == ((1,), (0,))
+    assert all(type(row) is tuple for row in g.adjacency)
+    for rows, problem in [([[1], []], "listed only"), ([[5], [0]], "outside"),
+                          ([[0], []], "self-loop"), ([[1, 1], [0]], "ascending"),
+                          ([[1], [0], []], "3 rows")]:
+        with pytest.raises(GraphError, match=problem):
+            NbhdGraph("x", 2, 1, 0, SET, [a, b], rows)
+    with pytest.raises(GraphError, match="ascending"):
+        NbhdGraph("x", 3, 1, 0, SET, [a, b, leaf(SET, 3)], [[2, 1], [0], [0]])
 
 
 def test_adjacency_matches_pairwise_edge_rule():
