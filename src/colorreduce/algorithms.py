@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstructionError, ParameterError
-from .simulate import ColorRounds, NodeProgram
+from .simulate import ColorRounds, NodeProgram, _Immutable
 
 
 def logstar2(x) -> int:
@@ -176,17 +176,59 @@ def delta_plus_one_schedule(m: int, delta: int) -> list[int]:
     return palettes
 
 
-def _linial_rule(family: CoverFreeFamily):
+def _free_point(q: int, color: int, neighbor_colors) -> int | None:
+    """a*q + P_color(a) + 1 at the first a >= 1 where no neighbor's
+    polynomial takes P_color's value, or None when every a is taken.
+
+    P_color and a neighbor's P_c meet at a exactly when their difference,
+    whose coefficients are the digit differences of color - 1 and c - 1,
+    vanishes there mod q; each difference is evaluated by Horner's rule."""
+    diffs = []
+    for c in neighbor_colors:
+        x, y, coefs = color - 1, c - 1, []
+        while x or y:
+            coefs.append(x % q - y % q)
+            x //= q
+            y //= q
+        coefs.reverse()
+        diffs.append(coefs)
+    for a in range(1, q):
+        for coefs in diffs:
+            acc = 0
+            for k in coefs:
+                acc = acc * a + k
+            if acc % q == 0:
+                break
+        else:
+            rest, acc, power = color - 1, 0, 1
+            while rest:
+                acc += rest % q * power
+                rest //= q
+                power *= a
+            return a * q + acc % q + 1
+    return None
+
+
+class _linial_rule(_Immutable):
     """min(member(color) minus the union of the neighbors' members).
 
     A member holds one point (a, P(a)) per a, and points are numbered by
     a first, so that minimum is the point at the first a where no
     neighbor's polynomial takes the node's value.  At a = 0 that value
     is the constant coefficient, (color - 1) mod q, which settles most
-    calls without evaluating a polynomial."""
-    q, m, evaluate = family.params.q, family.m, family.evaluate
+    nodes without evaluating a polynomial.  The whole-round form checks
+    the range of the color list once, compares the residues of each row
+    and searches a >= 1 only at the nodes whose residue a neighbor holds
+    too."""
 
-    def rule(color, neighbor_colors):
+    __slots__ = ("q", "m")
+
+    def __init__(self, family: CoverFreeFamily):
+        object.__setattr__(self, "q", family.params.q)
+        object.__setattr__(self, "m", family.m)
+
+    def __call__(self, color, neighbor_colors):
+        q, m = self.q, self.m
         # min and max settle the range check; the loop names the bad color
         if not (1 <= color <= m and (not neighbor_colors or (
                 1 <= min(neighbor_colors) and max(neighbor_colors) <= m))):
@@ -199,29 +241,70 @@ def _linial_rule(family: CoverFreeFamily):
                 break
         else:
             return b + 1
-        for a in range(1, q):
-            b = evaluate(color, a)
-            if all(evaluate(c, a) != b for c in neighbor_colors):
-                return a * q + b + 1
-        raise ConstructionError(
-            "color set exhausted by neighbors; cover-freeness violated"
-        )
+        point = _free_point(q, color, neighbor_colors)
+        if point is None:
+            raise ConstructionError(
+                "color set exhausted by neighbors; cover-freeness violated"
+            )
+        return point
 
-    return rule
+    def next_colors(self, colors, rows):
+        q = self.q
+        if min(colors) < 1 or max(colors) > self.m:
+            return None
+        residues = [(c - 1) % q for c in colors]
+        moved = [b + 1 for b in residues]
+        for v, row in enumerate(rows):
+            b = residues[v]
+            for u in row:
+                if residues[u] == b:
+                    point = _free_point(q, colors[v], [colors[u] for u in row])
+                    if point is None:
+                        return None
+                    moved[v] = point
+                    break
+        return moved
 
 
-def _kw_rule(q: int, delta: int):
-    def rule(color, neighbor_colors):
+def _free_candidate(low: int, width: int, held) -> int | None:
+    """The first of low .. low + width - 1 not in held, or None."""
+    for candidate in range(low, low + width):
+        if candidate not in held:
+            return candidate
+    return None
+
+
+class _kw_rule(_Immutable):
+    """Colors up to q stay; color q + 1 + i moves to the first color of
+    its private range i*(delta+1) + 1 .. (i+1)*(delta+1) that no neighbor
+    holds.  The whole-round form changes only the nodes above q."""
+
+    __slots__ = ("q", "width")
+
+    def __init__(self, q: int, delta: int):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "width", delta + 1)
+
+    def __call__(self, color, neighbor_colors):
+        q, width = self.q, self.width
         if color <= q:
             return color
-        i = color - q - 1
-        low = i * (delta + 1) + 1
-        for candidate in range(low, low + delta + 1):
-            if candidate not in neighbor_colors:
-                return candidate
-        raise ConstructionError("all delta+1 range colors taken by <= delta neighbors")
+        candidate = _free_candidate((color - q - 1) * width + 1, width, neighbor_colors)
+        if candidate is None:
+            raise ConstructionError("all delta+1 range colors taken by <= delta neighbors")
+        return candidate
 
-    return rule
+    def next_colors(self, colors, rows):
+        q, width = self.q, self.width
+        moved = colors[:]
+        for v, c in enumerate(colors):
+            if c > q:
+                candidate = _free_candidate((c - q - 1) * width + 1, width,
+                                            [colors[u] for u in rows[v]])
+                if candidate is None:
+                    return None
+                moved[v] = candidate
+        return moved
 
 
 def _schedule_program(rounds, palettes, name) -> NodeProgram:

@@ -135,6 +135,7 @@ class ColoredGraph:
     @staticmethod
     def from_edges(n, edges, psi, m, delta_cap=None):
         """Build a graph from an edge list, sorting neighbor lists."""
+        _need_ints(n=n)
         nbrs = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

@@ -174,8 +174,10 @@ class NbhdGraph:
     Vertices are sorted by canonical encoding and stored as a tuple;
     adjacency is checked rows (graphs._Rows), one per vertex.  The
     builders wire rows that are correct by construction and pass them
-    as _Rows; rows given any other way are frozen and checked, and a
-    fault, or a row count other than the vertex count, is a GraphError.
+    as _Rows; rows given any other way are frozen and checked, and so
+    are the vertices given with them: a fault in the rows, a row count
+    other than the vertex count, a repeated vertex, vertices out of
+    canonical order or of mixed depths is a GraphError.
     degree_param is delta for local1/setlocal and the neighbor-set
     bound D for relaxed; typed, setlocal without the views of isolated
     nodes, keeps setlocal's delta as its D.
@@ -192,6 +194,8 @@ class NbhdGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        if not isinstance(self.adjacency, _Rows):
+            _check_vertices(self.vertices)
         object.__setattr__(self, "adjacency", _Rows.checked(self.adjacency))
         if len(self.vertices) != len(self.adjacency):
             raise GraphError(f"{len(self.vertices)} vertices but {len(self.adjacency)} rows")
@@ -232,6 +236,23 @@ class NbhdGraph:
             "edges": self.n_edges,
             "max_degree": self.max_degree(),
         }
+
+
+def _check_vertices(vertices):
+    """GraphError unless the views are distinct, of one depth and in
+    canonical order."""
+    first = {}
+    for i, v in enumerate(vertices):
+        j = first.setdefault(v, i)
+        if j != i:
+            raise GraphError(f"vertex {i} repeats vertex {j}")
+        if v.depth != vertices[0].depth:
+            raise GraphError(f"vertex {i} has depth {v.depth}, vertex 0 has depth "
+                             f"{vertices[0].depth}")
+    encodings = list(map(canonical_encode, vertices))
+    for i in range(1, len(encodings)):
+        if encodings[i - 1] > encodings[i]:
+            raise GraphError(f"vertex {i} is out of canonical order")
 
 
 def _finish(family, m, degree_param, level, variant, vertices, cap) -> NbhdGraph:

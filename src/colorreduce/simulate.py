@@ -21,9 +21,10 @@ object: its rules are that function, one per round, and
 `ColorRounds.program` wraps them as a NodeProgram whose step broadcasts
 ``b"%d" % color`` and parses the received messages back into a set of
 ints.  `run` executes such a program on a plain color list instead (no
-messages, no per-node states, and a merge round touches only the nodes
-above the colors it keeps, or none) when ``trace`` is false and the
-program is exactly as `ColorRounds.program` built it.  With
+messages and no per-node states; a round whose rule has a whole-round
+form, as every rule in `colorreduce.algorithms` has, is one call of it,
+and a round that keeps every color held is skipped) when ``trace`` is
+false and the program is exactly as `ColorRounds.program` built it.  With
 ``trace=True``, or when any of init, step, finalize or round_budget has
 been replaced (say, by a wrapped step), `run` takes the general message
 path, which stays the semantics oracle: both paths give the same colors,
@@ -58,7 +59,20 @@ class NodeProgram:
     meta: dict | None = None
 
 
-class ColorRounds:
+class _Immutable:
+    """Base of slotted values that __init__ sets through
+    object.__setattr__; later assignment and deletion raise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class ColorRounds(_Immutable):
     """The step of a color-only program, one rule per round.
 
     Round t applies ``rule(color, neighbor_colors) -> color`` of the t-th
@@ -73,12 +87,6 @@ class ColorRounds:
 
     def __init__(self, rounds):
         object.__setattr__(self, "rounds", tuple(rounds))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ColorRounds is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ColorRounds is immutable; cannot delete {name!r}")
 
     def init(self, color, m, delta, n):
         return (0, color)
@@ -106,20 +114,30 @@ class ColorRounds:
                 and prog.round_budget == self.round_budget)
 
     def run_colors(self, g: ColoredGraph) -> list[int]:
-        """The output color of every node of g, computed on a color list."""
+        """The output color of every node of g, computed on a color list.
+
+        A rule may have a whole-round form, ``next_colors(colors, rows)``:
+        the list of every node's rule(color, set of its row's colors), or
+        None when some node's call would raise.  A round is one call of
+        that form; without it, or when it returns None, the rule is
+        called once per node above keep, and the first node whose call
+        raises raises SimulationError with the round."""
         adj, colors = g.adjacency, list(g.psi)
         top = max(colors)
         for t, (rule, keep) in enumerate(self.rounds, start=1):
             if top <= keep:
                 continue
-            held = colors.__getitem__
-            moved = colors[:]
-            for v, c in enumerate(colors):
-                if c > keep:
-                    try:
-                        moved[v] = rule(c, set(map(held, adj[v])))
-                    except Exception as exc:  # noqa: BLE001
-                        raise SimulationError(v, t, exc) from exc
+            whole = getattr(rule, "next_colors", None)
+            moved = whole(colors, adj) if whole is not None else None
+            if moved is None:
+                held = colors.__getitem__
+                moved = colors[:]
+                for v, c in enumerate(colors):
+                    if c > keep:
+                        try:
+                            moved[v] = rule(c, set(map(held, adj[v])))
+                        except Exception as exc:  # noqa: BLE001
+                            raise SimulationError(v, t, exc) from exc
             colors = moved
             top = max(colors)
         return colors

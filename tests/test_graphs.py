@@ -69,6 +69,12 @@ def test_graph_invariants_enforced():
         ColoredGraph.from_edges(1, [(0, 0)], [1], 2, 2)
 
 
+@pytest.mark.parametrize("n", [2.5, "2", None, True])
+def test_from_edges_rejects_a_non_integer_node_count(n):
+    with pytest.raises(ParameterError, match="need integer n"):
+        ColoredGraph.from_edges(n, [], [1, 1], 2)
+
+
 def test_graphs_and_assignments_built_from_lists_are_frozen():
     g = ColoredGraph(3, [[1], [0, 2], [1]], [1, 2, 1], 2, 2)
     assert g.adjacency == ((1,), (0, 2), (1,)) and g.psi == (1, 2, 1)

@@ -15,6 +15,7 @@ from colorreduce import (BOTTOM, CapExceededError, ColoredGraph, GraphError, Hom
                          center, chi_exact, class_defect, extract_all_views,
                          is_independent, mutual_edge, relaxed_to_typed_hom,
                          typed_to_setlocal_hom, types, verify_homomorphism)
+from colorreduce.graphs import _Rows
 from colorreduce.nbhd import (DEFAULT_CAP, SETLOCAL, TYPED, _build_levels, _finish,
                               _wire, centers_of)
 
@@ -478,6 +479,23 @@ def test_nbhd_graph_freezes_and_checks_given_rows():
             NbhdGraph("x", 2, 1, 0, SET, [a, b], rows)
     with pytest.raises(GraphError, match="ascending"):
         NbhdGraph("x", 3, 1, 0, SET, [a, b, leaf(SET, 3)], [[2, 1], [0], [0]])
+
+
+def test_nbhd_graph_checks_vertices_given_with_rows():
+    a, b, c = leaf(SET, 1), leaf(SET, 2), leaf(SET, 3)
+    deep = node(SET, 1, [2])
+    for vertices, problem in [([a, a], "vertex 1 repeats vertex 0"),
+                              ([a, b, a], "vertex 2 repeats vertex 0"),
+                              ([b, a], "vertex 1 is out of canonical order"),
+                              ([a, c, b], "vertex 2 is out of canonical order"),
+                              ([a, deep], "vertex 1 has depth 1, vertex 0 has depth 0")]:
+        rows = [[1], [0]] + [[]] * (len(vertices) - 2)
+        with pytest.raises(GraphError, match=problem):
+            NbhdGraph("x", 3, 1, 0, SET, vertices, rows)
+    assert NbhdGraph("x", 3, 1, 0, SET, [a, b, c], [[1], [0], []]).vertex_index(c) == 2
+    # a builder's rows (_Rows) vouch for its vertices: nothing is checked
+    g = NbhdGraph("x", 2, 1, 0, SET, [b, a], _Rows(((1,), (0,))))
+    assert g.vertices == (b, a)
 
 
 def test_adjacency_matches_pairwise_edge_rule():

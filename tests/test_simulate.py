@@ -4,13 +4,17 @@ import io
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorreduce import (MULTISET, SET, ColoredGraph, ColorRounds,
-                         NodeProgram, SimulationError, check_correspondence,
+                         ConstructionError, NodeProgram, ParameterError,
+                         SimulationError, check_correspondence,
                          delta_plus_one_program, extract_view,
                          full_information_program, kw_step_program,
                          linial_full_program, linial_step_program,
                          random_colored_tree, run)
+from colorreduce.algorithms import _kw_rule, _linial_rule
 
 
 def star3():
@@ -320,3 +324,108 @@ def test_failing_run_raises_the_same_error_on_both_paths(prog, tree_m):
             if fast[0] == "error":
                 failures.add(fast[1:])
     assert failures
+
+
+# --- whole-round rule forms against the per-node rule ---------------------
+
+def _per_node_outcome(rule, keep, colors, rows):
+    """(next colors, None) by one rule call per node above keep, or
+    (None, the exception type) if a call raises."""
+    try:
+        return [rule(c, {colors[u] for u in row}) if c > keep else c
+                for c, row in zip(colors, rows)], None
+    except Exception as exc:  # noqa: BLE001 - any failure is compared
+        return None, type(exc)
+
+
+def _compare_rounds(prog, g):
+    """Check each round's whole-round form against the per-node rule on
+    the colors of the round before, and run_colors against the per-node
+    loop; returns (rule type, exception type) for the rounds that fail."""
+    rounds, colors = prog.step.rounds, list(g.psi)
+    for rule, keep in rounds:
+        whole = rule.next_colors(colors, g.adjacency)
+        colors, raised = _per_node_outcome(rule, keep, colors, g.adjacency)
+        assert whole == colors
+        if raised:
+            failed = [(type(rule), raised)]
+            break
+    else:
+        failed = []
+    # hidden behind a plain function, each rule is called once per node
+    per_node = ColorRounds([(lambda c, nbrs, rule=rule: rule(c, nbrs), keep)
+                            for rule, keep in rounds])
+    outcomes = []
+    for rr in (prog.step, per_node):
+        try:
+            outcomes.append(("ok", rr.run_colors(g)))
+        except SimulationError as exc:
+            outcomes.append(("error", exc.node, exc.round_index, repr(exc.cause)))
+    assert outcomes[0] == outcomes[1]
+    return failed
+
+
+@st.composite
+def _program_and_tree(draw):
+    """A schedule program, possibly built for a smaller delta or palette
+    than the tree it runs on, so that the a >= 1 search and the merge
+    range can be exhausted and colors can fall outside the palette."""
+    delta = draw(st.integers(2, 8))
+    prog_delta = draw(st.integers(2, delta))
+    m = draw(st.sampled_from([prog_delta + 2, 16, 100, 10**4, 10**6]))
+    tree_m = draw(st.sampled_from([m, m + 1, 2 * m, 10**6]))
+    kind = draw(st.sampled_from(["delta1", "linial", "kw"]))
+    build = {"delta1": delta_plus_one_program, "linial": linial_step_program,
+             "kw": kw_step_program}[kind]
+    g = random_colored_tree(draw(st.integers(1, 60)), delta, max(tree_m, delta + 1),
+                            seed=draw(st.integers(0, 10**6)))
+    return build(m, prog_delta), g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_program_and_tree())
+def test_whole_round_forms_equal_the_per_node_rules(case):
+    _compare_rounds(*case)
+
+
+def test_whole_round_forms_decline_exactly_where_a_rule_raises():
+    # the fixtures of the failing-run test: exhausted a >= 1 searches,
+    # exhausted merge ranges and colors above the palette
+    failed = set()
+    for prog, tree_m in [(delta_plus_one_program(10**4, 2), 10**4),
+                         (linial_step_program(16, 2), 16),
+                         (kw_step_program(12, 2), 12),
+                         (linial_step_program(50, 8), 10**4)]:
+        for seed in range(40):
+            g = random_colored_tree(24, 8, tree_m, seed=seed)
+            failed.update(_compare_rounds(prog, g))
+    assert failed == {(_linial_rule, ConstructionError), (_linial_rule, ParameterError),
+                      (_kw_rule, ConstructionError)}
+
+
+def test_color_path_calls_each_rule_once_per_round(monkeypatch):
+    prog = delta_plus_one_program(10**6, 8)
+    g = random_colored_tree(300, 8, 10**6, seed=2)
+    expected, _ = run(g, prog, SET, trace=True)
+    calls = []
+    for cls in (_linial_rule, _kw_rule):
+        def counted(self, color, neighbor_colors, original=cls.__call__):
+            calls.append(type(self))
+            return original(self, color, neighbor_colors)
+
+        monkeypatch.setattr(cls, "__call__", counted)
+    assert run(g, prog, SET)[0] == expected
+    assert calls == []
+    assert run(g, prog, SET, trace=True)[0] == expected
+    assert set(calls) == {_linial_rule, _kw_rule}
+
+
+def test_rule_objects_are_immutable():
+    rounds = delta_plus_one_program(10**4, 3).step.rounds
+    assert {type(rule) for rule, _ in rounds} == {_linial_rule, _kw_rule}
+    for rule, _ in rounds:
+        for name in ("q", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rule, name, 7)
+            with pytest.raises(AttributeError):
+                delattr(rule, name)
