@@ -170,7 +170,7 @@ def cmd_refute(args, parser):
                        for cl in json.load(fh)]
     except OSError as exc:
         raise ParameterError(f"cannot read classes file {args.classes}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a file that is not a list of lists
         raise ParameterError(f"malformed classes file {args.classes}: {exc!r}") from exc
     except RecursionError:  # from json.load; view_from_json raises ValueError
         raise ParameterError(f"classes file {args.classes} is nested too deeply") from None

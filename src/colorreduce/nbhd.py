@@ -107,10 +107,12 @@ def center(v: View):
 
 
 def types(v: View) -> frozenset:
-    """The set of distinct neighbor entries of (x, A); {BOTTOM} at level 0."""
+    """The set of distinct neighbor entries of (x, A); {BOTTOM} at level 0.
+    A set, not the view's id-ordered `child_lookup`, because callers
+    compare it with `centers_of`."""
     if v.depth == 0:
         return frozenset({BOTTOM})
-    return v.child_lookup
+    return frozenset(v.child_lookup)
 
 
 def centers_of(nodes) -> frozenset:

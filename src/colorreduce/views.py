@@ -7,27 +7,35 @@ duplicate-free set under set delivery, a multiset under multiset delivery.
 Views are hash-consed: structurally equal views are the same object, so
 equality and hashing are plain object identity, O(1) even for deep views.
 The intern pool is keyed by a view's own parts, not by a digest: a leaf
-by (kind, color), a deeper view by its inner view and the frozenset of
-its children, or of (child, count) pairs when some count is above 1.
-The parts are interned already, so by induction equal structure means
-identical parts.  A lookup that finds its view computes no digest; only
-a new view sorts its children and computes its 16-byte digest, which
+by (kind, color), a deeper view by its inner view and its own tuple of
+distinct children in `id` order (`child_lookup`), plus the tuple of
+their counts when some count is above 1.  The parts are interned
+already and the key holds them alive, so their ids are fixed and
+unique: by induction equal structure means an equal key.  The key
+shares the view's tuples, so each view stores its children once: about
+350 B per view with its key, digest and pool slot
+(`build_local1(7, 4, MULTISET)` on 64-bit CPython 3.11, encodings left
+out).  A lookup that finds its view computes no digest; only a new view
+sorts its children by digest and computes its 16-byte digest, which
 names views and orders children but decides no identity.
 
-Identity hashes follow memory addresses, so the iteration order of a set
-of views is not stable across runs; anything that must be reproducible
-orders views by digest or canonical encoding instead.  The exact
-canonical byte encoding is injective and decodable; it is materialized
-lazily and meant for desk-scale views (the digest serves deep ones).
-Every encoding materialized in this process is also a key of a table
-back to its view, so decoding those bytes is one lookup; other bytes
-are parsed and checked.  The table lives as long as the intern
-pool: both are process-global and never freed.
+Identity hashes and ids follow memory addresses, so the iteration order
+of a set of views, and of `child_lookup`, is not stable across runs;
+anything that must be reproducible orders views by digest or canonical
+encoding instead (`children` gives the (child, count) pairs in digest
+order).  The exact canonical byte encoding is injective and decodable;
+it is materialized lazily and meant for desk-scale views (the digest
+serves deep ones).  Every encoding materialized in this process is also
+a key of a table back to its view, so decoding those bytes is one
+lookup; other bytes are parsed and checked.  The table lives as long as
+the intern pool: both are process-global and never freed.
 """
 
 from __future__ import annotations
 
 from hashlib import blake2b
+from itertools import repeat
+from operator import attrgetter
 
 SET = "set"
 MULTISET = "multiset"
@@ -36,12 +44,17 @@ _KIND_BYTE = {SET: b"S", MULTISET: b"M"}
 
 
 class View:
-    """Immutable recursive view; construct via View.leaf / View.make."""
+    """Immutable recursive view; construct via View.leaf / View.make.
 
-    __slots__ = ("kind", "depth", "base_color", "inner", "children",
-                 "child_lookup", "child_size", "digest", "_enc")
+    `child_lookup` holds the distinct children in `id` order, and `counts`
+    their multiplicities in the same order, or None when every one is 1
+    (always under SET).  The pool key holds that same tuple."""
 
-    _pool: dict = {}  # (kind, color) or (inner, children key) -> view
+    __slots__ = ("kind", "depth", "base_color", "inner", "child_lookup",
+                 "counts", "child_size", "digest", "_enc")
+
+    # (kind, color), (inner, child_lookup) or (inner, child_lookup, counts) -> view
+    _pool: dict = {}
     _by_enc: dict = {}  # canonical encoding -> view, filled by canonical_encode
 
     def __init__(self, *_args, **_kwargs):
@@ -54,16 +67,16 @@ class View:
         raise AttributeError(f"View is immutable; cannot delete {name!r}")
 
     @classmethod
-    def _intern(cls, key, kind, depth, base_color, inner, children, lookup, digest):
+    def _intern(cls, key, kind, depth, base_color, inner, lookup, counts, digest):
         self = object.__new__(cls)
         self_set = object.__setattr__
         self_set(self, "kind", kind)
         self_set(self, "depth", depth)
         self_set(self, "base_color", base_color)
         self_set(self, "inner", inner)
-        self_set(self, "children", children)
         self_set(self, "child_lookup", lookup)
-        self_set(self, "child_size", sum(cnt for _, cnt in children))
+        self_set(self, "counts", counts)
+        self_set(self, "child_size", len(lookup) if counts is None else sum(counts))
         self_set(self, "digest", digest)
         self_set(self, "_enc", None)
         # setdefault is atomic, so racing threads all get the first object
@@ -81,7 +94,7 @@ class View:
         if found is not None:
             return found
         digest = blake2b(b"L%s%d" % (_KIND_BYTE[kind], color), digest_size=16).digest()
-        return cls._intern(key, kind, 0, color, None, (), frozenset(), digest)
+        return cls._intern(key, kind, 0, color, None, (), None, digest)
 
     @classmethod
     def make(cls, kind, inner, children):
@@ -90,21 +103,19 @@ class View:
         `children` is an iterable of View or (View, count) pairs.  Under
         SET kind duplicates collapse; under MULTISET multiplicities add up.
         """
-        children = tuple(children)
+        children = sorted(children, key=id)
         try:
-            lookup = frozenset(children)
+            # only distinct plain views in id order can spell a pooled key,
+            # whose parts passed the checks below when it was interned
+            found = cls._pool.get((inner, tuple(children)))
         except TypeError:  # an unhashable entry, rejected by the checks below
-            lookup = None
-        if lookup is not None and (kind == SET or len(lookup) == len(children)):
-            # a hit on a key of plain views skips the checks, which its
-            # parts passed when it was interned; a key of (view, count)
-            # pairs is shorter than its view's child_size, so input pairs,
-            # whose counts may only compare equal (2.0 == 2), never skip them
-            found = cls._pool.get((inner, lookup))
-            if found is not None and found.kind == kind and found.child_size == len(lookup):
-                return found
+            found = None
+        if found is not None and found.kind == kind:
+            return found
         if kind not in _KIND_BYTE:
             raise ValueError(f"unknown kind {kind!r}")
+        if not isinstance(inner, View):
+            raise ValueError("the inner view must be a View")
         if inner.kind != kind:
             raise ValueError("inner view kind mismatch")
         counts = {}
@@ -115,27 +126,34 @@ class View:
                     raise ValueError("multiplicities are positive integers")
             else:
                 child, cnt = entry, 1
+            if not isinstance(child, View):
+                raise ValueError("children must be Views or (View, count) pairs")
             if child.depth != inner.depth:
                 raise ValueError("child depth must equal inner depth")
             if child.kind != kind:
                 raise ValueError("child view kind mismatch")
             counts[child] = counts.get(child, 0) + cnt
-        if kind == SET:
-            counts = dict.fromkeys(counts, 1)
-        lookup = frozenset(counts)
-        if len(lookup) == sum(counts.values()):
-            key = (inner, lookup)
+        lookup = tuple(sorted(counts, key=id))
+        if kind == SET or len(lookup) == sum(counts.values()):
+            multiplicities, key = None, (inner, lookup)
         else:
-            key = (inner, frozenset(counts.items()))
+            multiplicities = tuple(map(counts.__getitem__, lookup))
+            key = (inner, lookup, multiplicities)
         found = cls._pool.get(key)
         if found is not None:
             return found
-        items = tuple(sorted(counts.items(), key=lambda kv: kv[0].digest))
         parts = [b"N", _KIND_BYTE[kind], inner.digest]
-        for child, cnt in items:
-            parts += (child.digest, b"%d," % cnt)
+        for child in sorted(lookup, key=_digest):
+            parts += (child.digest, b"%d," % (1 if multiplicities is None else counts[child]))
         digest = blake2b(b"".join(parts), digest_size=16).digest()
-        return cls._intern(key, kind, inner.depth + 1, None, inner, items, lookup, digest)
+        return cls._intern(key, kind, inner.depth + 1, None, inner, lookup,
+                           multiplicities, digest)
+
+    @property
+    def children(self):
+        """The (child, count) pairs in digest order."""
+        pairs = zip(self.child_lookup, self.counts or repeat(1))
+        return tuple(sorted(pairs, key=lambda kv: kv[0].digest))
 
     def __repr__(self):
         if self.depth == 0:
@@ -146,7 +164,10 @@ class View:
         return f"View({self.inner!r}; {{{inside}}})"
 
     def distinct_children(self):
-        return tuple(c for c, _ in self.children)
+        return self.child_lookup
+
+
+_digest = attrgetter("digest")
 
 
 def canonical_encode(view: View) -> bytes:
@@ -162,11 +183,12 @@ def canonical_encode(view: View) -> bytes:
     if view.depth == 0:
         enc = kb + b"0(%d)" % view.base_color
     else:
+        encs = map(canonical_encode, view.child_lookup)
         if view.kind == SET:
-            body = b",".join(sorted(canonical_encode(c) for c, _ in view.children))
+            body = b",".join(sorted(encs))
         else:
             # children are distinct views, so no two encodings tie
-            pairs = sorted((canonical_encode(c), n) for c, n in view.children)
+            pairs = sorted(zip(encs, view.counts or repeat(1)))
             body = b",".join(p + b"*%d" % n for p, n in pairs)
         enc = kb + b"%d(" % view.depth + canonical_encode(view.inner) + b";" + body + b")"
     object.__setattr__(view, "_enc", enc)
@@ -291,7 +313,7 @@ def erase_multiplicities(view: View) -> View:
         if v.depth == 0:
             out = View.leaf(SET, v.base_color)
         else:
-            out = View.make(SET, walk(v.inner), (walk(c) for c, _ in v.children))
+            out = View.make(SET, walk(v.inner), map(walk, v.child_lookup))
         memo[v] = out
         return out
 
@@ -313,8 +335,11 @@ def view_to_json(view: View):
 
 
 def view_from_json(data, kind) -> View:
-    """Inverse of view_to_json.  A member nested past the recursion
-    limit raises ValueError, as in canonical_decode."""
+    """Inverse of view_to_json.  Data that view_to_json does not produce
+    raises ValueError: a color that is not an int (true included), a
+    member that is neither a color nor an object with "inner" and a
+    "children" list, a multiset child that is not a [view, int] pair,
+    and a member nested past the recursion limit, as in canonical_decode."""
     try:
         return _view_from_json(data, kind)
     except RecursionError:
@@ -322,12 +347,20 @@ def view_from_json(data, kind) -> View:
 
 
 def _view_from_json(data, kind) -> View:
-    if isinstance(data, int):
+    if type(data) is int:
         return View.leaf(kind, data)
+    if not (isinstance(data, dict) and "inner" in data):
+        raise ValueError(f"a view is an int color or an object with an inner view, "
+                         f"got {type(data).__name__}")
     inner = _view_from_json(data["inner"], kind)
+    entries = data.get("children")
+    if not isinstance(entries, list):
+        raise ValueError("a view's children are a list")
     children = []
-    for entry in data["children"]:
+    for entry in entries:
         if kind == MULTISET:
+            if not (isinstance(entry, list) and len(entry) == 2 and type(entry[1]) is int):
+                raise ValueError("a multiset child is a [view, count] pair")
             child, count = entry
             children.append((_view_from_json(child, kind), count))
         else:

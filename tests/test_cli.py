@@ -179,6 +179,11 @@ def test_color_malformed_graph_file_exits_1(graph, tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     pytest.param(json.dumps([[{"inner": 1}]]), id="missing-children"),
+    pytest.param(json.dumps([[{"inner": 1, "children": 5}]]), id="children-not-a-list"),
+    pytest.param(json.dumps([[{"inner": True, "children": [[2, 1]]}]]), id="color-true"),
+    pytest.param(json.dumps([[{"inner": 1, "children": [[2, True]]}]]), id="count-true"),
+    pytest.param(json.dumps([[1.5]]), id="member-float"),
+    pytest.param(json.dumps([[[1]]]), id="member-list"),
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
     # a member nested past the recursion limit; json.load or view_from_json
     # gives up first, depending on how deep the parser may go

@@ -241,7 +241,7 @@ def oracle_setlocal_recursive(r, m, delta):
             nbrs = sorted(adj[x], key=lambda v: v.digest)
             for k in range(min(delta, len(nbrs)) + 1):
                 for combo in combinations(nbrs, k):
-                    if level >= 2 and x.child_lookup != frozenset(c.inner for c in combo):
+                    if level >= 2 and frozenset(x.child_lookup) != frozenset(c.inner for c in combo):
                         continue
                     nxt.append(View.make(SET, x, combo))
         vertices = nxt

@@ -196,6 +196,16 @@ def test_make_rejects_multiplicities_below_one():
             View.make(MULTISET, leaf(MULTISET, 1), [(leaf(MULTISET, 2), count)])
 
 
+def test_make_refuses_parts_that_are_not_views_with_value_error():
+    a, b = leaf(SET, 1), leaf(SET, 2)
+    View.make(SET, a, [b])
+    for inner, children in [(None, [b]), (1, [b]),  # inner is not a view
+                            (a, [3]), (a, [None]), (a, [(3, 1)]),  # child is not a view
+                            (a, [(b, 1, 1)])]:  # a pair of three
+        with pytest.raises(ValueError):
+            View.make(SET, inner, children)
+
+
 def _encodings():
     rng = random.Random(1)
     out = []
@@ -309,6 +319,21 @@ def test_json_roundtrip_both_kinds():
     # multiset children carry [view, count] pairs
     data = view_to_json(extract_view(g, 0, 1, MULTISET))
     assert data["children"] == [[2, 3]]
+
+
+@pytest.mark.parametrize("data", [
+    True, 1.5, [1], "1", None,  # a color that is not an int
+    {"inner": True, "children": []},
+    {"inner": 1},  # no children
+    {"inner": 1, "children": 5},
+    {"children": []},  # no inner
+    {"inner": 1, "children": [[2, True]]},  # a count that is not an int
+    {"inner": 1, "children": [[2]]},  # a multiset child that is not a pair
+])
+def test_json_members_view_to_json_never_writes_raise_value_error(data):
+    for kind in (SET, MULTISET):
+        with pytest.raises(ValueError):
+            view_from_json(data, kind)
 
 
 @pytest.mark.parametrize("depth", [992, 100_000])
@@ -433,7 +458,7 @@ class PairedViews:
         assert [(c.digest, n) for c, n in view.children] == [(c.digest, n) for c, n in twin.children]
         assert view.child_size == twin.child_size
         assert sorted(c.digest for c in view.child_lookup) == sorted(c.digest for c in twin.child_lookup)
-        assert view.child_lookup == {c for c, _ in view.children}
+        assert frozenset(view.child_lookup) == {c for c, _ in view.children}
         assert self.by_digest.setdefault(twin.digest, view) is view
         assert self.digest_of.setdefault(view, twin.digest) == twin.digest
         if view.depth:
@@ -520,6 +545,88 @@ def test_multiplicities_tell_multisets_apart():
     assert View.make(MULTISET, x, [(b, 1), (a, 1)]) is ab
     sx, sa, sb = (leaf(SET, c) for c in (1, 2, 3))
     assert View.make(SET, sx, [sa, sa, sb]) is View.make(SET, sx, [(sa, 2), sb, sb])
+
+
+@st.composite
+def spellings(draw):
+    """A collection of distinct leaves with multiplicities, its canonical
+    spelling (each child once per count, in color order) and another
+    spelling of it: permuted, counts split into plain views and
+    (view, count) pairs, and under SET extra repeats."""
+    kind = draw(st.sampled_from([SET, MULTISET]))
+    colors = draw(st.lists(st.integers(1, 6), max_size=5, unique=True))
+    entries, canonical = [], []
+    for c in sorted(colors):
+        child = leaf(kind, c)
+        count = 1 if kind == SET else draw(st.integers(1, 3))
+        canonical += [child] * count
+        parts = draw(st.integers(1, count)) if kind == MULTISET else 1 + draw(st.integers(0, 2))
+        sizes = [1] * parts
+        for _ in range(count - parts):
+            sizes[draw(st.integers(0, parts - 1))] += 1
+        entries += [child if n == 1 and draw(st.booleans()) else (child, n) for n in sizes]
+    return kind, canonical, draw(st.permutations(entries))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spellings())
+def test_every_spelling_of_a_collection_gives_the_canonical_view(spelled):
+    kind, canonical, entries = spelled
+    inner = leaf(kind, 7)
+    view = View.make(kind, inner, canonical)
+    assert View.make(kind, inner, entries) is view
+    assert View.make(kind, inner, iter(entries)) is view
+    assert View.make(kind, inner, canonical[::-1]) is view
+
+
+def test_every_pooled_view_is_keyed_by_its_own_child_tuple():
+    g = random_colored_tree(12, 4, 3, seed=5)
+    for kind in (SET, MULTISET):
+        extract_all_views(g, 3, kind)
+    deep = 0
+    for key, v in list(View._pool.items()):
+        if v.depth == 0:
+            assert key == (v.kind, v.base_color)
+            continue
+        deep += 1
+        assert key[0] is v.inner and key[1] is v.child_lookup
+        rebuilt = (v.inner, tuple(list(v.child_lookup)))  # equal, not identical
+        if v.counts is not None:
+            rebuilt += (v.counts,)
+        assert key == rebuilt and View._pool[rebuilt] is v
+        assert list(v.child_lookup) == sorted(set(v.child_lookup), key=id)
+        if v.counts is not None:
+            assert v.kind == MULTISET and len(v.counts) == len(v.child_lookup)
+            assert max(v.counts) > 1 and min(v.counts) >= 1
+        assert v.child_size == sum(n for _, n in v.children)
+    assert deep
+
+
+def test_interned_views_stay_small():
+    # a child process, so that the views are all new and the counts are
+    # its own; encodings, which build_local1 makes to order its vertices,
+    # are left out
+    script = (
+        "import inspect, tracemalloc\n"
+        "from colorreduce import MULTISET, View, build_local1, views\n"
+        "pooled = len(View._pool)\n"
+        "tracemalloc.start()\n"
+        "build_local1(7, 4, MULTISET)\n"
+        "snap = tracemalloc.take_snapshot().filter_traces(\n"
+        "    [tracemalloc.Filter(True, views.__file__)])\n"
+        "lines, first = inspect.getsourcelines(views.canonical_encode)\n"
+        "encode = range(first, first + len(lines))\n"
+        "size = sum(s.size for s in snap.statistics('lineno')\n"
+        "           if s.traceback[0].lineno not in encode)\n"
+        "print(len(View._pool) - pooled, size)\n"
+    )
+    src = str(Path(views.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    interned, size = map(int, proc.stdout.split())
+    assert interned == 1477
+    assert size / interned <= 400
 
 
 def test_leaf_colors_intern_by_value():
