@@ -546,6 +546,9 @@ def lower_bound_rounds(delta: int, C: float = 1.0, eta: float = 0.0) -> BoundRep
 
 def random_independent_sets(graph: NbhdGraph, count: int, seed: int) -> list[frozenset[View]]:
     """Greedy independent sets over seeded random vertex orders."""
+    _need_ints(count=count)
+    if count < 0:
+        raise ParameterError(f"need count >= 0, got {count}")
     rng = random.Random(seed)
     out = []
     n = graph.n_vertices
@@ -572,6 +575,10 @@ def random_defective_classes(m: int, delta: int, d: int, count: int,
     Draws are checked on colors: (x, A) touches a member (y, B) iff y is in
     A and x is in B, so members are indexed by center color and a View is
     built only for an accepted draw."""
+    _need_ints(m=m, delta=delta, d=d, count=count)
+    if m < 1 or min(delta, d, count) < 0:
+        raise ParameterError(f"need m >= 1 and delta, d, count >= 0, got m={m}, "
+                             f"delta={delta}, d={d}, count={count}")
     rng = random.Random(seed)
     leaves = {c: View.leaf(MULTISET, c) for c in range(1, m + 1)}
     out = []
@@ -603,6 +610,11 @@ def random_relaxed_class(levels, size: int, seed: int, bound: int) -> frozenset[
     """A random independent set of the level above the last built level,
     sampled via random (center, neighbor-subset) draws; a draw is kept
     unless it meets a chosen member by the edge rule."""
+    _need_ints(size=size, bound=bound)
+    if size < 0 or bound < 0:
+        raise ParameterError(f"need size, bound >= 0, got size={size}, bound={bound}")
+    if not levels:
+        raise ParameterError("need at least one built level")
     rng = random.Random(seed)
     top = levels[-1]
     chosen: set[View] = set()

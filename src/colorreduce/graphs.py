@@ -31,7 +31,9 @@ class _Rows(tuple):
     correct by construction; _Rows.checked converts and checks any other
     input.  The rows carry their rank space: order[r] is the vertex of
     rank r (degree descending, then index), and masks[r] holds the ranks
-    of r's neighbors as the bits of one int.  Both are built on first use
+    of r's neighbors as the bits of one int, built once per row object,
+    so ranks whose rows are one shared tuple (the false twins that
+    nbhd._wire gives one row) hold one mask.  Both are built on first use
     and cached on the value; assignment and deletion raise AttributeError
     (cached_property writes the instance dict, not through __setattr__).
     """
@@ -84,12 +86,18 @@ class _Rows(tuple):
         byte = [r >> 3 for r in rank]
         bit = [1 << (r & 7) for r in rank]
         zeros = bytes((len(self) + 7) // 8)
-        masks = []
+        # twins that share one row object share its mask; keyed by id,
+        # which is stable while self holds the rows
+        masks, built = [], {}
         for v in self.order:
-            row = bytearray(zeros)
-            for u in self[v]:
-                row[byte[u]] |= bit[u]
-            masks.append(int.from_bytes(row, "little"))
+            nbrs = self[v]
+            mask = built.get(id(nbrs))
+            if mask is None:
+                row = bytearray(zeros)
+                for u in nbrs:
+                    row[byte[u]] |= bit[u]
+                mask = built[id(nbrs)] = int.from_bytes(row, "little")
+            masks.append(mask)
         return tuple(masks)
 
 

@@ -63,9 +63,13 @@ in A, with no scan over candidates.  The row is complete: a neighbor
 It has no repeats: every position has one center, so the buckets of
 distinct y are disjoint, and each lists a position once.  (x, A) is in
 its own row only through (x, x), that is when x is in A, and is dropped
-there.  Each row is sorted, and the edge rule is symmetric, so the
-builders pass their rows to NbhdGraph as checked rows (graphs._Rows)
-without checking them again; the cut to typed keeps those properties.
+there.  The rule reads x and the distinct members of A, never their
+multiplicities, so multiset vertices (x, A) and (x, A') whose
+collections have one support are false twins: they have one row, built
+once and stored once for all of them.  Each row is sorted, and the edge
+rule is symmetric, so the builders pass their rows to NbhdGraph as
+checked rows (graphs._Rows) without checking them again; the cut to
+typed keeps those properties.
 An independence check keeps one set of the keys seen and stops at the
 first key whose reverse is already in it.
 
@@ -136,8 +140,15 @@ def _wire(nodes, cap) -> _Rows:
     Depth >= 1 positions are indexed by the keys they publish (see the
     module docstring), and the row of (x, A) is the concatenation of the
     buckets of the keys (y, x), y in A.  Depth-0 positions meet every
-    distinct leaf, and duplicate positions pair up like any others."""
-    index, leaves = {}, []
+    distinct leaf, and duplicate positions pair up like any others.
+
+    That row reads only x and the distinct members of A, never their
+    multiplicities, so it is built once per key (x, child_lookup) and
+    every later multiset position with that key is given the same tuple:
+    false twins share their row.  A position with x in A keeps a row of
+    its own, which drops itself.  Under SET a key names one view, so set
+    positions build no sharing table."""
+    index, leaves, twins = {}, [], {}
     for i, u in enumerate(nodes):
         if u.depth == 0:
             leaves.append(i)
@@ -154,15 +165,22 @@ def _wire(nodes, cap) -> _Rows:
     limit, wired, rows = 2 * cap + 1, 0, []
     for i, u in enumerate(nodes):
         if u.depth == 0:
-            row = [j for j in leaves if nodes[j] is not u]
+            row = tuple(j for j in leaves if nodes[j] is not u)
         else:
-            x, row = u.inner, []
-            for y in u.child_lookup:
-                row += index.get((y, x), ())
-            if x in u.child_lookup:
-                row.remove(i)
-            row.sort()
-        rows.append(tuple(row))
+            x, lookup = u.inner, u.child_lookup
+            shared = u.kind == MULTISET and x not in lookup
+            row = twins.get((x, lookup)) if shared else None
+            if row is None:
+                row = []
+                for y in lookup:
+                    row += index.get((y, x), ())
+                if x in lookup:
+                    row.remove(i)
+                row.sort()
+                row = tuple(row)
+                if shared:
+                    twins[x, lookup] = row
+        rows.append(row)
         wired += len(row)
         if wired > limit:
             raise CapExceededError(wired // 2, cap, what="edges (at least)")

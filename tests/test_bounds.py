@@ -296,6 +296,38 @@ def test_clique_step_refuses_non_integer_parameters(p, d, bound, named):
         uncovered_clique_step(T, [frozenset()], levels[0], p=p, d=d, bound=bound)
 
 
+_HOST_3_2 = build_local1(3, 2, MULTISET)
+_LEVELS_3_2 = build_relaxed_levels(1, 3, 2)
+
+
+@pytest.mark.parametrize("call,problem", [
+    (lambda: random_independent_sets(_HOST_3_2, 2.5, 0), "integer count"),
+    (lambda: random_independent_sets(_HOST_3_2, True, 0), "integer count"),
+    (lambda: random_independent_sets(_HOST_3_2, -1, 0), "count >= 0"),
+    (lambda: random_defective_classes(5, 3, 1.5, 1, 0), "integer m, delta, d, count"),
+    (lambda: random_defective_classes(5, 3.0, 1, 1, 0), "integer m, delta, d, count"),
+    (lambda: random_defective_classes(5, 3, 1, 2.0, 0), "integer m, delta, d, count"),
+    (lambda: random_defective_classes(5, 3, 1, -1, 0), ">= 0"),
+    (lambda: random_defective_classes(5, -1, 1, 1, 0), ">= 0"),
+    (lambda: random_defective_classes(0, 3, 1, 1, 0), "m >= 1"),
+    (lambda: random_relaxed_class(_LEVELS_3_2, 3, 0, -2), "bound >= 0"),
+    (lambda: random_relaxed_class(_LEVELS_3_2, 3, 0, 2.5), "integer size, bound"),
+    (lambda: random_relaxed_class(_LEVELS_3_2, -3, 0, 2), "size, bound >= 0"),
+    (lambda: random_relaxed_class([], 3, 0, 2), "at least one built level"),
+])
+def test_class_generators_refuse_bad_parameters(call, problem):
+    with pytest.raises(ParameterError, match=re.escape(problem)):
+        call()
+
+
+def test_class_generators_take_zero_counts_and_sizes():
+    assert random_independent_sets(_HOST_3_2, 0, 0) == []
+    assert random_defective_classes(5, 3, 1, 0, 0) == []
+    assert random_defective_classes(1, 0, 0, 1, 0) == [[node(MULTISET, 1, [])]]
+    assert random_relaxed_class(_LEVELS_3_2, 0, 0, 2) == frozenset()
+    assert len(random_relaxed_class(_LEVELS_3_2, 3, 0, 0)) == 3
+
+
 def test_least_owned_ties_go_by_position():
     assert _least_owned([5, 6, 7], [[5], [6], [7]], 1) == (5, [0])
     assert _least_owned([5, 6, 7], [[5], [], [7]], 1) == (6, [])

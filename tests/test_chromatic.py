@@ -1,16 +1,12 @@
 """Chromatic solver, clique bounds, DIMACS round trips."""
 
 import random
-import subprocess
-import sys
 import threading
 import tracemalloc
 from functools import cached_property
-from pathlib import Path
 
 import pytest
 
-import colorreduce
 from colorreduce import (MULTISET, SET, ConstructionError, ParameterError,
                          build_local1, build_relaxed, build_setlocal, chi_exact,
                          dsatur, embedded_clique, export_dimacs, greedy_clique,
@@ -18,6 +14,8 @@ from colorreduce import (MULTISET, SET, ConstructionError, ParameterError,
 from colorreduce.chromatic import (_Budget, _check_witness, _decide_k, _Rows,
                                    _search_k_coloring, as_adjacency,
                                    clique_lower_bound)
+
+from conftest import run_python
 
 TRIANGLE = [[1, 2], [0, 2], [0, 1]]
 
@@ -472,6 +470,22 @@ def test_graph_rows_taken_as_they_are(host_7_4):
         assert type(g.adjacency) is _Rows and as_adjacency(g) is g.adjacency
 
 
+def test_masks_equal_a_per_row_rebuild_and_twins_share_theirs(host_7_4):
+    tree = random_colored_tree(300, 4, 9, seed=5)
+    # 1,470 host rows in 393 row objects; every tree row its own
+    for g, shared in ((host_7_4, 1470 - 393), (tree, 0)):
+        rows = g.adjacency
+        rank = {v: r for r, v in enumerate(rows.order)}
+        for r, v in enumerate(rows.order):
+            assert rows.masks[r] == sum(1 << rank[u] for u in rows[v])
+        # ranks whose rows are one tuple hold one mask
+        first = {}
+        for r, v in enumerate(rows.order):
+            s = first.setdefault(id(rows[v]), r)
+            assert rows.masks[r] is rows.masks[s]
+        assert len(rows) - len(first) == shared
+
+
 def test_checked_rows_are_immutable_and_not_checked_twice():
     rows = as_adjacency(TRIANGLE)
     assert type(rows) is _Rows and as_adjacency(rows) is rows
@@ -633,10 +647,7 @@ else:
 
 
 def test_witness_check_survives_python_optimize():
-    src = str(Path(colorreduce.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python(OPTIMIZED_SCRIPT, "-O")
     assert proc.returncode == 0, proc.stderr
     first, second = proc.stdout.splitlines()
     optimize, status, witness = first.split(" ", 2)

@@ -19,6 +19,8 @@ from colorreduce.graphs import _Rows
 from colorreduce.nbhd import (DEFAULT_CAP, SETLOCAL, TYPED, _build_levels, _finish,
                               _wire, centers_of)
 
+from conftest import run_python
+
 
 def leaf(kind, c):
     return View.leaf(kind, c)
@@ -592,6 +594,49 @@ def test_key_rows_and_class_checks_match_oracle(nodes, cap):
         assert _wire(nodes, cap) == expected
     assert is_independent(nodes) == (edges == 0)
     assert class_defect(nodes) == oracle_class_defect(nodes)
+
+
+def test_multiset_twins_share_one_row(host_7_4):
+    # (x, A) and (x, A') with the same support have one neighbourhood;
+    # the 7 empty supports share the one empty tuple, so 399 keys give
+    # 393 row objects
+    rows = host_7_4.adjacency
+    by_key = {}
+    for v, row in zip(host_7_4.vertices, rows):
+        by_key.setdefault((v.inner, frozenset(v.child_lookup)), set()).add(id(row))
+    assert len(by_key) == 399 and all(len(ids) == 1 for ids in by_key.values())
+    distinct = {id(row): row for row in rows}
+    assert len(rows) == 1470 and sum(map(len, rows)) == 296_352
+    assert len(distinct) == 393 and sum(map(len, distinct.values())) == 91_728
+
+
+@pytest.mark.parametrize("m,delta", [(4, 2), (5, 3)])
+@pytest.mark.parametrize("variant", [SET, MULTISET])
+def test_local1_rows_match_the_candidate_scan(m, delta, variant):
+    g = build_local1(m, delta, variant)
+    expected = [[] for _ in g.vertices]
+    for i, j in oracle_adjacent_positions(g.vertices):
+        expected[i].append(j)
+    assert g.adjacency == tuple(tuple(sorted(js)) for js in expected)
+
+
+def test_local1_74_rows_and_masks_stay_small():
+    # a child process, so that everything traced is this build's; views
+    # and their encodings are left out.  Rows held per vertex and one
+    # mask per vertex took about 3.05 MB
+    script = (
+        "import tracemalloc\n"
+        "from colorreduce import MULTISET, build_local1, views\n"
+        "tracemalloc.start()\n"
+        "host = build_local1(7, 4, MULTISET)\n"
+        "host.adjacency.masks\n"
+        "snap = tracemalloc.take_snapshot().filter_traces(\n"
+        "    [tracemalloc.Filter(False, views.__file__)])\n"
+        "print(sum(s.size for s in snap.statistics('filename')))\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1_500_000
 
 
 def test_center_and_types_accessors():

@@ -1,12 +1,9 @@
 """View engine: extraction, canonical encoding, truncation, erasure."""
 
-import os
 import random
-import subprocess
 import sys
 import threading
 from hashlib import blake2b
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +13,8 @@ from colorreduce import (MULTISET, SET, ColoredGraph, ColorRounds, View,
                          canonical_decode, canonical_encode, erase_multiplicities,
                          extract_all_views, extract_view, random_colored_tree,
                          truncate, view_from_json, view_to_json, views)
+
+from conftest import run_python
 
 
 def path3():
@@ -178,9 +177,7 @@ def test_decode_rejects_non_canonical_under_optimize():
         "    sys.exit(f'accepted {bad!r}')\n"
         "print(sys.flags.optimize)\n"
     )
-    src = str(Path(views.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python(script, "-O")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
 
@@ -620,9 +617,7 @@ def test_interned_views_stay_small():
         "           if s.traceback[0].lineno not in encode)\n"
         "print(len(View._pool) - pooled, size)\n"
     )
-    src = str(Path(views.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     interned, size = map(int, proc.stdout.split())
     assert interned == 1477
