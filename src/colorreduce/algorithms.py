@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, _need_ints
 from .simulate import ColorRounds, NodeProgram, _Immutable
 
 
@@ -86,6 +86,7 @@ class LinialParams:
 def linial_params(m: int, delta: int) -> LinialParams:
     """Feasible (q, deg) minimizing the target palette q^2; ties prefer
     the smaller degree."""
+    _need_ints(m=m, delta=delta)
     if m < 2 or delta < 1:
         raise ParameterError("need m >= 2 and delta >= 1")
     best = None
@@ -163,7 +164,15 @@ def kw_target(m: int, delta: int) -> int:
     return -(-m * (delta + 1) // (delta + 2))
 
 
+def _need_m_delta(m, delta):
+    """ParameterError unless m and delta are ints and delta >= 1."""
+    _need_ints(m=m, delta=delta)
+    if delta < 1:
+        raise ParameterError(f"need delta >= 1, got {delta}")
+
+
 def kw_palette_schedule(m: int, delta: int) -> list[int]:
+    _need_m_delta(m, delta)
     palettes = [m]
     while palettes[-1] > delta + 1:
         palettes.append(kw_target(palettes[-1], delta))
@@ -210,16 +219,17 @@ def _free_point(q: int, color: int, neighbor_colors) -> int | None:
 
 
 class _linial_rule(_Immutable):
-    """min(member(color) minus the union of the neighbors' members).
+    """min(member(color) minus the union of the neighbors' members), for
+    every node of a round at once.
 
     A member holds one point (a, P(a)) per a, and points are numbered by
     a first, so that minimum is the point at the first a where no
     neighbor's polynomial takes the node's value.  At a = 0 that value
     is the constant coefficient, (color - 1) mod q, which settles most
-    nodes without evaluating a polynomial.  The whole-round form checks
-    the range of the color list once, compares the residues of each row
-    and searches a >= 1 only at the nodes whose residue a neighbor holds
-    too."""
+    nodes without evaluating a polynomial.  next_colors checks the range
+    of the color list once (ParameterError names its first bad color),
+    compares the residues of each row and searches a >= 1 only at the
+    nodes whose residue a neighbor holds too."""
 
     __slots__ = ("q", "m")
 
@@ -227,31 +237,11 @@ class _linial_rule(_Immutable):
         object.__setattr__(self, "q", family.params.q)
         object.__setattr__(self, "m", family.m)
 
-    def __call__(self, color, neighbor_colors):
-        q, m = self.q, self.m
-        # min and max settle the range check; the loop names the bad color
-        if not (1 <= color <= m and (not neighbor_colors or (
-                1 <= min(neighbor_colors) and max(neighbor_colors) <= m))):
-            for c in (color, *neighbor_colors):
-                if not 1 <= c <= m:
-                    raise ParameterError(f"color {c} outside [1, {m}]")
-        b = (color - 1) % q  # a = 0
-        for c in neighbor_colors:
-            if (c - 1) % q == b:
-                break
-        else:
-            return b + 1
-        point = _free_point(q, color, neighbor_colors)
-        if point is None:
-            raise ConstructionError(
-                "color set exhausted by neighbors; cover-freeness violated"
-            )
-        return point
-
     def next_colors(self, colors, rows):
-        q = self.q
-        if min(colors) < 1 or max(colors) > self.m:
-            return None
+        q, m = self.q, self.m
+        if min(colors) < 1 or max(colors) > m:
+            bad = next(c for c in colors if not 1 <= c <= m)
+            raise ParameterError(f"color {bad} outside [1, {m}]")
         residues = [(c - 1) % q for c in colors]
         moved = [b + 1 for b in residues]
         for v, row in enumerate(rows):
@@ -260,24 +250,17 @@ class _linial_rule(_Immutable):
                 if residues[u] == b:
                     point = _free_point(q, colors[v], [colors[u] for u in row])
                     if point is None:
-                        return None
+                        raise ConstructionError(
+                            "color set exhausted by neighbors; cover-freeness violated")
                     moved[v] = point
                     break
         return moved
 
 
-def _free_candidate(low: int, width: int, held) -> int | None:
-    """The first of low .. low + width - 1 not in held, or None."""
-    for candidate in range(low, low + width):
-        if candidate not in held:
-            return candidate
-    return None
-
-
 class _kw_rule(_Immutable):
     """Colors up to q stay; color q + 1 + i moves to the first color of
     its private range i*(delta+1) + 1 .. (i+1)*(delta+1) that no neighbor
-    holds.  The whole-round form changes only the nodes above q."""
+    holds.  next_colors changes only the nodes above q."""
 
     __slots__ = ("q", "width")
 
@@ -285,25 +268,20 @@ class _kw_rule(_Immutable):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "width", delta + 1)
 
-    def __call__(self, color, neighbor_colors):
-        q, width = self.q, self.width
-        if color <= q:
-            return color
-        candidate = _free_candidate((color - q - 1) * width + 1, width, neighbor_colors)
-        if candidate is None:
-            raise ConstructionError("all delta+1 range colors taken by <= delta neighbors")
-        return candidate
-
     def next_colors(self, colors, rows):
         q, width = self.q, self.width
         moved = colors[:]
         for v, c in enumerate(colors):
             if c > q:
-                candidate = _free_candidate((c - q - 1) * width + 1, width,
-                                            [colors[u] for u in rows[v]])
-                if candidate is None:
-                    return None
-                moved[v] = candidate
+                low = (c - q - 1) * width + 1
+                held = [colors[u] for u in rows[v]]
+                for candidate in range(low, low + width):
+                    if candidate not in held:
+                        moved[v] = candidate
+                        break
+                else:
+                    raise ConstructionError(
+                        "all delta+1 range colors taken by <= delta neighbors")
         return moved
 
 
@@ -344,6 +322,7 @@ def kw_step_program(m: int, delta: int) -> NodeProgram:
     """One merge round m -> ceil(m(1-1/(delta+2))).  Nodes at or below the
     target keep their color; the i-th high color recolors into its private
     range of delta+1 low colors, dodging all neighbor colors."""
+    _need_m_delta(m, delta)
     if m <= delta + 1:
         raise ParameterError(f"m={m} already at or below delta+1={delta + 1}; nothing to merge")
     q = kw_target(m, delta)
@@ -353,6 +332,7 @@ def kw_step_program(m: int, delta: int) -> NodeProgram:
 def delta_plus_one_program(m: int, delta: int) -> NodeProgram:
     """Full pipeline: iterated color-set reduction, then merge rounds down
     to a proper (delta+1)-coloring."""
+    _need_m_delta(m, delta)
     if m < delta + 2:
         raise ParameterError(f"need m >= delta+2, got m={m}, delta={delta}")
     palettes = delta_plus_one_schedule(m, delta)

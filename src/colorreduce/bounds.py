@@ -523,12 +523,18 @@ def lower_bound_rounds(delta: int, C: float = 1.0, eta: float = 0.0) -> BoundRep
     """
     if not 0 <= eta < 1:
         raise ParameterError(f"eta must lie in [0, 1), got {eta}")
-    if C <= 0:
-        raise ParameterError(f"C must be positive, got {C}")
+    if not 0 < C < math.inf:
+        raise ParameterError(f"C must be positive and finite, got {C}")
     _need_ints(delta=delta)
     if delta < 1:
         raise ParameterError("delta must be >= 1")
-    D = (2 * C * delta ** (2 + eta)) ** (1.0 / 3.0)
+    try:
+        d_cubed = 2 * C * delta ** (2 + eta)
+    except OverflowError:
+        d_cubed = math.inf
+    if d_cubed == math.inf:
+        raise ParameterError(f"2C delta^(2+eta) overflows a float at C={C}, delta={delta}")
+    D = d_cubed ** (1.0 / 3.0)
     r_real = (delta ** (1 - eta) / (16 * C)) ** (1.0 / 3.0)
     # integer floor robust to float cube roots of perfect cubes
     r = int(r_real)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,7 +52,11 @@ class _Rows(tuple):
         if isinstance(rows, cls):
             return rows
         rows = cls(map(tuple, rows))
-        n, mirrored = len(rows), 0
+        n = len(rows)
+        # matched[u] counts the entries of row u below u that the rows
+        # listing u have met; rows are taken in ascending order, so in a
+        # symmetric, ascending row u they are met one after the other
+        matched = [0] * n
         for v, row in enumerate(rows):
             last = -1
             for u in row:
@@ -60,12 +65,21 @@ class _Rows(tuple):
                 if u <= last or u == v:
                     raise error(f"vertex {v} has a self-loop" if u == v
                                 else f"row {v} is not strictly ascending at {u}")
-                mirrored += u > v and v in rows[u]
+                if u > v:
+                    i = matched[u]
+                    try:
+                        if rows[u][i] == v:
+                            matched[u] = i + 1
+                    except IndexError:  # row u is one-sided at v
+                        pass
                 last = u
-        # a mirrored pair is two entries: symmetric iff the pairs cover all
-        if 2 * mirrored != sum(map(len, rows)):
-            v, u = next((v, u) for v, row in enumerate(rows) for u in row if v not in rows[u])
-            raise error(f"edge {v}-{u} is listed only at {v}")
+        # a matched entry is one mirrored pair of two: symmetric iff they cover all
+        if 2 * sum(matched) != sum(map(len, rows)):
+            for v, row in enumerate(rows):  # ascending rows: bisect for each mirror
+                for u in row:
+                    i = bisect_left(rows[u], v)
+                    if rows[u][i:i + 1] != (v,):
+                        raise error(f"edge {v}-{u} is listed only at {v}")
         return rows
 
     def edges(self):
@@ -241,6 +255,7 @@ def random_colored_tree(n: int, delta_cap: int, m: int, seed: int) -> ColoredGra
     A node's row starts with its parent, and its children join it in the
     order they are made, so every row is sorted as it is built.
     """
+    _need_ints(n=n, delta_cap=delta_cap, m=m)
     if m < 2:
         raise ParameterError("need m >= 2 to properly color any edge")
     if n < 1:

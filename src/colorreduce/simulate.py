@@ -17,18 +17,18 @@ any order (they only read the previous round's messages).
 
 Color-only programs.  A program whose every round is a function of
 (own color, set of neighbor colors) can be written as a `ColorRounds`
-object: its rules are that function, one per round, and
-`ColorRounds.program` wraps them as a NodeProgram whose step broadcasts
-``b"%d" % color`` and parses the received messages back into a set of
-ints.  `run` executes such a program on a plain color list instead (no
-messages and no per-node states; a round whose rule has a whole-round
-form, as every rule in `colorreduce.algorithms` has, is one call of it,
-and a round that keeps every color held is skipped) when ``trace`` is
-false and the program is exactly as `ColorRounds.program` built it.  With
-``trace=True``, or when any of init, step, finalize or round_budget has
-been replaced (say, by a wrapped step), `run` takes the general message
-path, which stays the semantics oracle: both paths give the same colors,
-and the same SimulationError node, round and cause.  Delivery does not
+object: one rule per round, whose one method gives every node's next
+color at once, and `ColorRounds.program` wraps them as a NodeProgram
+whose step broadcasts ``b"%d" % color`` and runs the rule on the star of
+the node and the set of colors it received.  `run` executes such a
+program on a plain color list instead (no messages and no per-node
+states; a round is one rule call on the whole graph, and a round that
+keeps every color held is skipped) when ``trace`` is false and the
+program is exactly as `ColorRounds.program` built it; if that raises, it
+runs the message path, which raises SimulationError with the node, round
+and cause.  With ``trace=True``, or when any of init, step, finalize or
+round_budget has been replaced (say, by a wrapped step), `run` takes the
+message path only; it stays the semantics oracle.  Delivery does not
 matter to such a program, since a set of colors reads the same from a
 set or a multiset of messages.
 """
@@ -72,15 +72,25 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
+def _star(k: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of a star: node 0 joined to nodes 1..k, each leaf's row empty."""
+    return (tuple(range(1, k + 1)),) + ((),) * k
+
+
 class ColorRounds(_Immutable):
     """The step of a color-only program, one rule per round.
 
-    Round t applies ``rule(color, neighbor_colors) -> color`` of the t-th
-    (rule, keep) pair, where neighbor_colors is the set of the colors the
-    neighbors held after round t - 1.  The rule returns every color
-    <= keep unchanged, whatever the neighbors hold (keep is 0 when it may
-    change any color).  Called as a step, the object is the general
-    byte-message form of the same rules.
+    Round t applies the t-th (rule, keep) pair.  A rule's one method,
+    ``next_colors(colors, rows)``, maps the colors held after round t - 1
+    and a graph's neighbor rows to every node's next color, or raises the
+    cause.  A node's next color reads only its own color and the set of
+    its neighbors' colors, and is its color itself when that is <= keep
+    (keep is 0 when the rule may change any color).  Called as a step,
+    the object is the byte-message form of the same rules: a node above
+    keep takes node 0's color on its star (_star), with one leaf per
+    distinct color received.  A leaf has no neighbors, so with the rules
+    of colorreduce.algorithms it does not change node 0's answer, and it
+    raises only on a color out of range, which node 0 rejects as well.
     """
 
     __slots__ = ("rounds",)
@@ -94,7 +104,10 @@ class ColorRounds(_Immutable):
     def __call__(self, state, received):
         t, color = state
         if t > 0:
-            color = self.rounds[t - 1][0](color, {int(msg) for msg in received})
+            rule, keep = self.rounds[t - 1]
+            if color > keep:
+                held = {int(msg) for msg in received}
+                color = rule.next_colors([color, *held], _star(len(held)))[0]
         return (t + 1, color), b"%d" % color
 
     def finalize(self, state):
@@ -114,32 +127,15 @@ class ColorRounds(_Immutable):
                 and prog.round_budget == self.round_budget)
 
     def run_colors(self, g: ColoredGraph) -> list[int]:
-        """The output color of every node of g, computed on a color list.
-
-        A rule may have a whole-round form, ``next_colors(colors, rows)``:
-        the list of every node's rule(color, set of its row's colors), or
-        None when some node's call would raise.  A round is one call of
-        that form; without it, or when it returns None, the rule is
-        called once per node above keep, and the first node whose call
-        raises raises SimulationError with the round."""
+        """The output color of every node of g, computed on a color list:
+        one next_colors call per round, skipping a round whose keep is at
+        least every color held.  A rule's exception propagates as is."""
         adj, colors = g.adjacency, list(g.psi)
         top = max(colors)
-        for t, (rule, keep) in enumerate(self.rounds, start=1):
-            if top <= keep:
-                continue
-            whole = getattr(rule, "next_colors", None)
-            moved = whole(colors, adj) if whole is not None else None
-            if moved is None:
-                held = colors.__getitem__
-                moved = colors[:]
-                for v, c in enumerate(colors):
-                    if c > keep:
-                        try:
-                            moved[v] = rule(c, set(map(held, adj[v])))
-                        except Exception as exc:  # noqa: BLE001
-                            raise SimulationError(v, t, exc) from exc
-            colors = moved
-            top = max(colors)
+        for rule, keep in self.rounds:
+            if top > keep:
+                colors = rule.next_colors(colors, adj)
+                top = max(colors)
         return colors
 
 
@@ -185,15 +181,18 @@ def run(g: ColoredGraph, prog: NodeProgram, kind=SET, trace: bool = False):
 
     Under set delivery each distinct byte-string reaches a node at most
     once per round no matter how many neighbors sent it.  A program that
-    ColorRounds.program built runs on colors alone unless `trace` is set
-    (see the module docstring).
+    ColorRounds.program built runs on colors alone unless `trace` is set,
+    and again on messages if that run raises (see the module docstring).
     """
     if kind not in (SET, MULTISET):
         raise ParameterError(f"unknown delivery kind {kind!r}")
     step = prog.step
     if type(step) is ColorRounds and not trace and step.built(prog):
-        colors = step.run_colors(g)
-        return ColorAssignment(tuple(colors), max(colors)), None
+        try:
+            colors = step.run_colors(g)
+            return ColorAssignment(tuple(colors), max(colors)), None
+        except Exception:  # noqa: BLE001 - the message path below names node and round
+            pass
     n, adj = g.n, g.adjacency
     budget = prog.round_budget(g.m, g.delta_cap, n)
     states = []

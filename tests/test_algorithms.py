@@ -14,6 +14,7 @@ from colorreduce import (SET, ColorAssignment, ColoredGraph,
                          linial_step_program, logstar2, random_colored_tree,
                          run, validate_proper)
 from colorreduce.algorithms import _linial_rule, is_prime
+from conftest import run_python, star_next
 
 
 def oracle_params(m, delta, max_deg=20, max_prime=10**4):
@@ -161,6 +162,41 @@ def test_kw_step_noop_error():
         kw_step_program(6, 5)
 
 
+@pytest.mark.parametrize("call, args", [
+    (linial_params, (16, True)), (linial_params, (16.0, 2)), (linial_params, (16, 2.0)),
+    (linial_palette_schedule, (16, 1.5)), (linial_step_program, (16, True)),
+    (linial_full_program, (16.5, 2)), (kw_palette_schedule, (10, 0)),
+    (kw_palette_schedule, (10.0, 2)), (kw_palette_schedule, (10, "2")),
+    (kw_step_program, (12, -1)), (kw_step_program, (12, 0)), (kw_step_program, (12, 2.0)),
+    (delta_plus_one_schedule, (10**4, 2.0)), (delta_plus_one_program, (10**4, 2.0)),
+    (delta_plus_one_program, (10, 0)), (delta_plus_one_program, ("10", 2)),
+])
+def test_schedules_refuse_non_integer_or_non_positive_degrees(call, args):
+    with pytest.raises(ParameterError):
+        call(*args)
+
+
+FRACTIONAL_DELTA_SCRIPT = """
+import resource
+cap = 512 * 2**20  # address space; a runaway schedule fails fast here
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from colorreduce import ParameterError, delta_plus_one_program, kw_palette_schedule
+for call in (kw_palette_schedule, delta_plus_one_program):
+    try:
+        call(10, 1.5)
+    except ParameterError as exc:
+        print(exc)
+"""
+
+
+def test_schedules_refuse_a_fractional_delta_in_bounded_time_and_memory():
+    # a merge schedule for delta = 1.5 never reaches delta + 1, so its
+    # palette list grows until memory runs out; run it where that is capped
+    proc = run_python(FRACTIONAL_DELTA_SCRIPT, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["need integer m, delta, got m=10, delta=1.5"] * 2
+
+
 def test_kw_recurrence_strictly_decreasing():
     for delta in range(2, 9):
         sched = kw_palette_schedule(300, delta)
@@ -235,7 +271,7 @@ def test_linial_rule_equals_member_oracle(m, delta):
                 pool.append(c)
         neighbors = set(rng.sample(pool, rng.randint(0, delta)))
         collisions += any(c in twins for c in neighbors)
-        assert rule(color, neighbors) == _member_oracle(fam, color, neighbors)
+        assert star_next(rule, color, neighbors) == _member_oracle(fam, color, neighbors)
     assert collisions > 50
 
 
@@ -244,11 +280,11 @@ def test_linial_rule_exhausted_and_out_of_range():
     rule = _linial_rule(fam)
     assert _member_oracle(fam, 7, {7}) is None
     with pytest.raises(ConstructionError):
-        rule(7, {7})
+        star_next(rule, 7, {7})
     with pytest.raises(ParameterError):
-        rule(17, {1})
+        star_next(rule, 17, {1})
     with pytest.raises(ParameterError):
-        rule(1, {2, 17})
+        star_next(rule, 1, {2, 17})
 
 
 @pytest.mark.parametrize("color, neighbor_colors, bad", [
@@ -257,7 +293,8 @@ def test_linial_rule_exhausted_and_out_of_range():
     (17, set(), 17),
     (0, {17}, 0),
     (1, {2, -1}, -1),
-    # two bad neighbors: the message names the first in the set's order
+    # two bad neighbors: the message names the first in the set's order,
+    # which is the order of the star's leaves
     (1, {17, 40}, 40),
     (1, {33, 17}, 33),
     (1, {0, 17}, 0),
@@ -265,7 +302,7 @@ def test_linial_rule_exhausted_and_out_of_range():
 def test_linial_rule_names_the_first_out_of_range_color(color, neighbor_colors, bad):
     rule = _linial_rule(build_family(linial_params(16, 2), 16))
     with pytest.raises(ParameterError) as info:
-        rule(color, neighbor_colors)
+        star_next(rule, color, neighbor_colors)
     assert str(info.value) == f"color {bad} outside [1, 16]"
 
 

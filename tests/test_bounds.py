@@ -1,6 +1,7 @@
 """Refuters and source machinery against the counting arguments."""
 
 import hashlib
+import math
 import random
 import re
 from itertools import combinations
@@ -655,6 +656,23 @@ def test_lower_bound_parameter_errors():
         lower_bound_rounds(16, 1, 1.0)
     with pytest.raises(ParameterError):
         lower_bound_rounds(16, 0, 0.5)
+
+
+@pytest.mark.parametrize("C, eta", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.nan),
+    (1.0, math.inf), (1.0, -math.inf),
+    # finite, but 2C delta^(2+eta) is not a float
+    (1e308, 0.0),
+])
+def test_lower_bound_refuses_non_finite_inputs(C, eta):
+    with pytest.raises(ParameterError):
+        lower_bound_rounds(64, C, eta)
+
+
+@pytest.mark.parametrize("delta", [10**200, 10**400])
+def test_lower_bound_refuses_a_delta_past_float_range(delta):
+    with pytest.raises(ParameterError, match="overflows"):
+        lower_bound_rounds(delta)
 
 
 @pytest.mark.parametrize("call,named", [

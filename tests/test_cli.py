@@ -152,6 +152,13 @@ def _assert_one_error_line(code, capsys):
     return err
 
 
+@pytest.mark.parametrize("flags", [["--C", "nan"], ["--C", "inf"], ["--eta", "nan"],
+                                   ["--C", "1e308"]])
+def test_bound_with_non_finite_input_exits_1(flags, tmp_path, capsys):
+    code = main(["bound", "--delta", "64", *flags, "--out", str(tmp_path)])
+    _assert_one_error_line(code, capsys)
+
+
 def test_color_graph_with_out_of_range_endpoint_exits_1(tmp_path, capsys):
     gpath = tmp_path / "instance.json"
     gpath.write_text(json.dumps({"n": 2, "edges": [[0, 5]], "psi": [1, 2], "m": 3, "delta": 1}))

@@ -11,6 +11,7 @@ from colorreduce import (ColorAssignment, ColoredGraph, CoverageError,
                          graph_from_json, graph_to_json, greedy_coloring,
                          random_colored_tree, validate_defective,
                          validate_proper)
+from colorreduce.graphs import _Rows
 
 
 def path3():
@@ -182,6 +183,45 @@ def test_random_tree_matches_rebuilt_candidate_oracle(n):
 def test_random_tree_rows_equal_edge_list_oracle(n, delta_cap, m, seed):
     assert random_colored_tree(n, delta_cap, m, seed) == oracle_random_colored_tree(
         n, delta_cap, m, seed)
+
+
+@pytest.mark.parametrize("n, delta_cap, m", [
+    (2.5, 3, 5), (3, 2.0, 5), (3, 3, 5.0), (True, 3, 5), (3, 3, "5"),
+])
+def test_random_tree_refuses_non_integer_parameters(n, delta_cap, m):
+    with pytest.raises(ParameterError, match="need integer"):
+        random_colored_tree(n, delta_cap, m, 0)
+
+
+def _first_one_sided(rows):
+    """Row-major first (v, u) with u in row v but v not in row u, or None."""
+    return next(((v, u) for v, row in enumerate(rows) for u in row
+                 if v not in rows[u]), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=n), min_size=n, max_size=n)))
+def test_rows_check_names_the_first_one_sided_edge(raw):
+    rows = [sorted(set(row) - {v}) for v, row in enumerate(raw)]
+    edge = _first_one_sided(rows)
+    if edge is None:
+        assert _Rows.checked(rows) == tuple(map(tuple, rows))
+    else:
+        with pytest.raises(GraphError) as info:
+            _Rows.checked(rows)
+        assert str(info.value) == "edge %d-%d is listed only at %d" % (*edge, edge[0])
+
+
+@pytest.mark.parametrize("rows, edge", [
+    ([[2], [2], [1]], (0, 2)),        # row 2 holds 1 but not 0
+    ([[], [2], [0, 1]], (2, 0)),      # the entry below 2 is the one-sided one
+    ([[1, 2], [0], [1]], (0, 2)),
+    ([[1], [0, 2], [0, 1]], (2, 0)),  # a full row 2 with a stray entry
+])
+def test_rows_check_one_sided_pins(rows, edge):
+    with pytest.raises(GraphError, match="edge %d-%d is listed only at %d$" % (*edge, edge[0])):
+        _Rows.checked(rows)
 
 
 def test_random_tree_infeasible_parameters():

@@ -15,6 +15,7 @@ from colorreduce import (MULTISET, SET, ColoredGraph, ColorRounds,
                          linial_full_program, linial_step_program,
                          random_colored_tree, run)
 from colorreduce.algorithms import _kw_rule, _linial_rule
+from conftest import star_next
 
 
 def star3():
@@ -290,6 +291,17 @@ def test_replaced_callable_takes_general_path(field):
     assert phi == run(g, prog, SET)[0]
 
 
+class _PerNode:
+    """A color rule from f(color, set of neighbor colors), applied to the
+    nodes in list order."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def next_colors(self, colors, rows):
+        return [self.f(c, {colors[u] for u in row}) for c, row in zip(colors, rows)]
+
+
 def _fails_where_nothing_moved():
     """Round 1 keeps colors 1..6 and sends every higher color to 1; round
     2 fails at every color above 3, so only at a node that kept its color
@@ -302,19 +314,20 @@ def _fails_where_nothing_moved():
             raise ValueError(f"color {color} among {sorted(neighbor_colors)}")
         return color
 
-    return ColorRounds([(merge, 6), (fail_above_3, 3)]).program("fails-unmoved")
+    return ColorRounds([(_PerNode(merge), 6),
+                        (_PerNode(fail_above_3), 3)]).program("fails-unmoved")
 
 
-@pytest.mark.parametrize("prog, tree_m", [
+@pytest.mark.parametrize("prog, tree_m, cause", [
     # built for delta 2, run on trees of degree up to 8
-    (delta_plus_one_program(10**4, 2), 10**4),
-    (linial_step_program(16, 2), 16),
-    (kw_step_program(12, 2), 12),
+    (delta_plus_one_program(10**4, 2), 10**4, ConstructionError),
+    (linial_step_program(16, 2), 16, ConstructionError),
+    (kw_step_program(12, 2), 12, ConstructionError),
     # built for a smaller palette than the trees' colors
-    (linial_step_program(50, 8), 10**4),
-    (_fails_where_nothing_moved(), 12),
+    (linial_step_program(50, 8), 10**4, ParameterError),
+    (_fails_where_nothing_moved(), 12, ValueError),
 ], ids=["delta1", "linial-step", "kw-step", "linial-palette", "unmoved"])
-def test_failing_run_raises_the_same_error_on_both_paths(prog, tree_m):
+def test_failing_run_raises_the_same_error_on_both_paths(prog, tree_m, cause):
     failures = set()
     for seed in range(40):
         g = random_colored_tree(24, 8, tree_m, seed=seed)
@@ -324,45 +337,51 @@ def test_failing_run_raises_the_same_error_on_both_paths(prog, tree_m):
             if fast[0] == "error":
                 failures.add(fast[1:])
     assert failures
+    assert {failure[2].partition("(")[0] for failure in failures} == {cause.__name__}
 
 
-# --- whole-round rule forms against the per-node rule ---------------------
+def test_failing_color_path_run_reruns_on_the_message_step(monkeypatch):
+    prog = linial_step_program(50, 8)
+    g = random_colored_tree(24, 8, 10**4, seed=0)  # colors above 50
+    steps = []
+    original = ColorRounds.__call__
 
-def _per_node_outcome(rule, keep, colors, rows):
-    """(next colors, None) by one rule call per node above keep, or
-    (None, the exception type) if a call raises."""
-    try:
-        return [rule(c, {colors[u] for u in row}) if c > keep else c
-                for c, row in zip(colors, rows)], None
-    except Exception as exc:  # noqa: BLE001 - any failure is compared
-        return None, type(exc)
+    def counted(self, state, received):
+        steps.append(state)
+        return original(self, state, received)
+
+    monkeypatch.setattr(ColorRounds, "__call__", counted)
+    with pytest.raises(SimulationError) as err:
+        run(g, prog, SET)
+    assert steps
+    assert (err.value.round_index, type(err.value.cause)) == (1, ParameterError)
 
 
-def _compare_rounds(prog, g):
-    """Check each round's whole-round form against the per-node rule on
-    the colors of the round before, and run_colors against the per-node
-    loop; returns (rule type, exception type) for the rounds that fail."""
-    rounds, colors = prog.step.rounds, list(g.psi)
-    for rule, keep in rounds:
-        whole = rule.next_colors(colors, g.adjacency)
-        colors, raised = _per_node_outcome(rule, keep, colors, g.adjacency)
-        assert whole == colors
-        if raised:
-            failed = [(type(rule), raised)]
-            break
-    else:
-        failed = []
-    # hidden behind a plain function, each rule is called once per node
-    per_node = ColorRounds([(lambda c, nbrs, rule=rule: rule(c, nbrs), keep)
-                            for rule, keep in rounds])
-    outcomes = []
-    for rr in (prog.step, per_node):
+# --- whole-round rule forms against the star form -------------------------
+
+def _compare_with_stars(prog, g):
+    """Run each round's next_colors on the whole graph and on every node's
+    star (star_next) from the colors of the round before, until a round
+    raises.  The forms give equal colors and keep every color <= keep;
+    the whole graph raises iff some star raises, with a type that a star
+    raised.  Returns {(rule type, exception type)} of the raising round."""
+    colors = list(g.psi)
+    for rule, keep in prog.step.rounds:
+        star_colors, star_raised = [], set()
+        for c, row in zip(colors, g.adjacency):
+            try:
+                star_colors.append(star_next(rule, c, {colors[u] for u in row}))
+            except Exception as exc:  # noqa: BLE001 - any failure is compared
+                star_raised.add(type(exc))
         try:
-            outcomes.append(("ok", rr.run_colors(g)))
-        except SimulationError as exc:
-            outcomes.append(("error", exc.node, exc.round_index, repr(exc.cause)))
-    assert outcomes[0] == outcomes[1]
-    return failed
+            whole = rule.next_colors(colors, g.adjacency)
+        except Exception as exc:  # noqa: BLE001
+            assert type(exc) in star_raised
+            return {(type(rule), type(exc))}
+        assert not star_raised and whole == star_colors
+        assert all(b == c for b, c in zip(whole, colors) if c <= keep)
+        colors = whole
+    return set()
 
 
 @st.composite
@@ -384,11 +403,13 @@ def _program_and_tree(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_program_and_tree())
-def test_whole_round_forms_equal_the_per_node_rules(case):
-    _compare_rounds(*case)
+def test_whole_round_forms_equal_the_star_forms(case):
+    prog, g = case
+    _compare_with_stars(prog, g)
+    assert _outcome(g, prog, SET, trace=False) == _outcome(g, prog, SET, trace=True)
 
 
-def test_whole_round_forms_decline_exactly_where_a_rule_raises():
+def test_whole_round_forms_raise_exactly_where_a_star_form_raises():
     # the fixtures of the failing-run test: exhausted a >= 1 searches,
     # exhausted merge ranges and colors above the palette
     failed = set()
@@ -398,7 +419,7 @@ def test_whole_round_forms_decline_exactly_where_a_rule_raises():
                          (linial_step_program(50, 8), 10**4)]:
         for seed in range(40):
             g = random_colored_tree(24, 8, tree_m, seed=seed)
-            failed.update(_compare_rounds(prog, g))
+            failed.update(_compare_with_stars(prog, g))
     assert failed == {(_linial_rule, ConstructionError), (_linial_rule, ParameterError),
                       (_kw_rule, ConstructionError)}
 
@@ -406,18 +427,25 @@ def test_whole_round_forms_decline_exactly_where_a_rule_raises():
 def test_color_path_calls_each_rule_once_per_round(monkeypatch):
     prog = delta_plus_one_program(10**6, 8)
     g = random_colored_tree(300, 8, 10**6, seed=2)
-    expected, _ = run(g, prog, SET, trace=True)
+    expected, trace = run(g, prog, SET, trace=True)
+    # the colors held before round t are the ones sent in round t
+    held = [[int(trace.sent_at(t, v)) for v in range(g.n)]
+            for t in range(1, len(prog.step.rounds) + 1)]
+    per_round = [(type(rule), sum(c > keep for c in colors))
+                 for (rule, keep), colors in zip(prog.step.rounds, held)]
+    assert any(moving == 0 for _, moving in per_round)  # a skipped round
     calls = []
     for cls in (_linial_rule, _kw_rule):
-        def counted(self, color, neighbor_colors, original=cls.__call__):
+        def counted(self, colors, rows, original=cls.next_colors):
             calls.append(type(self))
-            return original(self, color, neighbor_colors)
+            return original(self, colors, rows)
 
-        monkeypatch.setattr(cls, "__call__", counted)
+        monkeypatch.setattr(cls, "next_colors", counted)
     assert run(g, prog, SET)[0] == expected
-    assert calls == []
+    assert calls == [cls for cls, moving in per_round if moving]
+    calls.clear()
     assert run(g, prog, SET, trace=True)[0] == expected
-    assert set(calls) == {_linial_rule, _kw_rule}
+    assert calls == [cls for cls, moving in per_round for _ in range(moving)]
 
 
 def test_rule_objects_are_immutable():
