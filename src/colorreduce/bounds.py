@@ -537,15 +537,33 @@ def lower_bound_rounds(delta: int, C: float = 1.0, eta: float = 0.0) -> BoundRep
     D = d_cubed ** (1.0 / 3.0)
     r_real = (delta ** (1 - eta) / (16 * C)) ** (1.0 / 3.0)
     # integer floor robust to float cube roots of perfect cubes
-    r = int(r_real)
-    while (r + 1) ** 3 <= delta ** (1 - eta) / (16 * C) + 1e-9:
-        r += 1
-    while r > 0 and r**3 > delta ** (1 - eta) / (16 * C) + 1e-9:
-        r -= 1
+    r = _cube_root_floor(delta ** (1 - eta) / (16 * C) + 1e-9, int(r_real))
     palette = C * delta ** (1 + eta)
     m_threshold = math.ceil(2 * C * delta ** (1 + eta))
     threshold_ok = D / 2 + 1 <= palette
     return BoundReport(delta, C, eta, D, r_real, r, m_threshold, threshold_ok)
+
+
+def _cube_root_floor(t: float, guess: int) -> int:
+    """The largest r >= 0 with r**3 <= t, for t > 0 (int against float
+    compares exactly): gallop from guess to a bracket, then bisect.  The
+    float cube root is off by about guess * 1e-16, so a walk by ones
+    from it takes millions of steps once guess passes about 10**22."""
+    lo, hi, step = max(guess, 0), max(guess, 0), 1
+    if lo ** 3 <= t:
+        while hi ** 3 <= t:
+            lo, hi, step = hi, hi + step, 2 * step
+    else:
+        while lo > 0 and lo ** 3 > t:
+            hi, lo, step = lo, max(lo - step, 0), 2 * step
+    # lo**3 <= t < hi**3
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** 3 <= t:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # --- seeded family generators (suite instrumentation) ----------------------
@@ -557,18 +575,26 @@ def random_independent_sets(graph: NbhdGraph, count: int, seed: int) -> list[fro
         raise ParameterError(f"need count >= 0, got {count}")
     rng = random.Random(seed)
     out = []
-    n = graph.n_vertices
+    n, rows = graph.n_vertices, graph.adjacency
+    # multiset false twins share one row object (nbhd._wire), so a row
+    # met again blocks nothing new; set hosts share no rows
+    twins = graph.variant == MULTISET
     for _ in range(count):
         order = list(range(n))
         rng.shuffle(order)
         blocked = set()
         chosen = []
+        met = set()
         for i in order:
             if i in blocked:
                 continue
             chosen.append(i)
-            blocked.add(i)
-            blocked.update(graph.adjacency[i])
+            row = rows[i]
+            if twins:
+                if id(row) in met:
+                    continue
+                met.add(id(row))
+            blocked.update(row)
         out.append(frozenset(graph.vertices[i] for i in chosen))
     return out
 

@@ -13,11 +13,13 @@ their counts when some count is above 1.  The parts are interned
 already and the key holds them alive, so their ids are fixed and
 unique: by induction equal structure means an equal key.  The key
 shares the view's tuples, so each view stores its children once: about
-350 B per view with its key, digest and pool slot
-(`build_local1(7, 4, MULTISET)` on 64-bit CPython 3.11, encodings left
-out).  A lookup that finds its view computes no digest; only a new view
-sorts its children by digest and computes its 16-byte digest, which
-names views and orders children but decides no identity.
+300 B per view with its key and pool slot (`build_local1(7, 4, MULTISET)`
+on 64-bit CPython 3.11, encodings left out).  Interning hashes nothing.
+A view's 16-byte digest names views and orders children but decides no
+identity, so it is computed the first time it is read, for the view and
+for every part below it that has none yet, without recursion; only
+leaves get theirs when they are interned.  Threads racing on a first
+read write equal bytes.
 
 Identity hashes and ids follow memory addresses, so the iteration order
 of a set of views, and of `child_lookup`, is not stable across runs;
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from hashlib import blake2b
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 SET = "set"
 MULTISET = "multiset"
@@ -48,10 +50,11 @@ class View:
 
     `child_lookup` holds the distinct children in `id` order, and `counts`
     their multiplicities in the same order, or None when every one is 1
-    (always under SET).  The pool key holds that same tuple."""
+    (always under SET).  The pool key holds that same tuple.  `_digest`
+    is None until `digest` is first read, except on leaves."""
 
     __slots__ = ("kind", "depth", "base_color", "inner", "child_lookup",
-                 "counts", "child_size", "digest", "_enc")
+                 "counts", "child_size", "_digest", "_enc")
 
     # (kind, color), (inner, child_lookup) or (inner, child_lookup, counts) -> view
     _pool: dict = {}
@@ -77,7 +80,7 @@ class View:
         self_set(self, "child_lookup", lookup)
         self_set(self, "counts", counts)
         self_set(self, "child_size", len(lookup) if counts is None else sum(counts))
-        self_set(self, "digest", digest)
+        self_set(self, "_digest", digest)
         self_set(self, "_enc", None)
         # setdefault is atomic, so racing threads all get the first object
         return cls._pool.setdefault(key, self)
@@ -142,12 +145,17 @@ class View:
         found = cls._pool.get(key)
         if found is not None:
             return found
-        parts = [b"N", _KIND_BYTE[kind], inner.digest]
-        for child in sorted(lookup, key=_digest):
-            parts += (child.digest, b"%d," % (1 if multiplicities is None else counts[child]))
-        digest = blake2b(b"".join(parts), digest_size=16).digest()
         return cls._intern(key, kind, inner.depth + 1, None, inner, lookup,
-                           multiplicities, digest)
+                           multiplicities, None)
+
+    @property
+    def digest(self):
+        """16-byte blake2b digest of the kind, the inner view's digest and
+        each child's digest and count, children in digest order."""
+        digest = self._digest
+        if digest is None:
+            digest = _seal(self) or _seal_below(self)
+        return digest
 
     @property
     def children(self):
@@ -167,7 +175,45 @@ class View:
         return self.child_lookup
 
 
-_digest = attrgetter("digest")
+_own_digest = attrgetter("_digest")
+_set_digest = View._digest.__set__  # the slot itself, past View.__setattr__
+_NODE_PREFIX = {kind: b"N" + byte for kind, byte in _KIND_BYTE.items()}
+
+
+def _seal(view):
+    """Compute, store and return view's digest when its inner view and
+    children all have theirs; None otherwise."""
+    inner = view.inner._digest
+    digests = list(map(_own_digest, view.child_lookup))
+    if inner is None or None in digests:
+        return None
+    counts = view.counts
+    if counts is None:
+        # every count is 1, so digests that collide give the same bytes in either order
+        digests.sort()
+        body = b"1,".join(digests) + b"1," if digests else b""
+    else:
+        # keyed on the digest alone, so children whose digests collide keep id order
+        pairs = sorted(zip(digests, counts), key=itemgetter(0))
+        body = b"".join([d + b"%d," % n for d, n in pairs])
+    digest = blake2b(_NODE_PREFIX[view.kind] + inner + body, digest_size=16).digest()
+    _set_digest(view, digest)
+    return digest
+
+
+def _seal_below(view):
+    """view's digest, sealing every view below it that has none first,
+    on an explicit stack so that no depth exhausts the recursion limit."""
+    stack = [view]
+    while stack:
+        top = stack[-1]
+        if top._digest is not None or _seal(top) is not None:
+            stack.pop()
+            continue
+        if top.inner._digest is None:
+            stack.append(top.inner)
+        stack += [c for c in top.child_lookup if c._digest is None]
+    return view._digest
 
 
 def canonical_encode(view: View) -> bytes:

@@ -19,6 +19,7 @@ from colorreduce.bounds import (_blocking_set, _first_uncovered, _least_owned,
                                 random_defective_classes,
                                 random_independent_sets, random_relaxed_class)
 from colorreduce.nbhd import mutual_edge
+from conftest import run_python
 
 
 def leaf(kind, c):
@@ -673,6 +674,70 @@ def test_lower_bound_refuses_non_finite_inputs(C, eta):
 def test_lower_bound_refuses_a_delta_past_float_range(delta):
     with pytest.raises(ParameterError, match="overflows"):
         lower_bound_rounds(delta)
+
+
+def walked_rounds(delta, C, eta):
+    """The floor of the rounds bound as it was first found: one step at a
+    time from the float cube root."""
+    t = delta ** (1 - eta) / (16 * C)
+    r = int(t ** (1.0 / 3.0))
+    while (r + 1) ** 3 <= t + 1e-9:
+        r += 1
+    while r > 0 and r**3 > t + 1e-9:
+        r -= 1
+    return r
+
+
+@pytest.mark.parametrize("C, eta", [(1.0, 0.0), (2.0, 0.0), (0.001, 0.25), (3.7, 0.5),
+                                    (1e6, 0.1), (0.5, 0.9)])
+def test_lower_bound_rounds_equal_the_walk_from_the_float_root(C, eta):
+    for e in range(41):
+        for delta in {10**e, 10**e + 1, max(10**e - 1, 1), 16 * 10**e}:
+            assert lower_bound_rounds(delta, C, eta).rounds == walked_rounds(delta, C, eta)
+    # perfect cubes, where the float root can land on either side
+    for k in range(1, 200):
+        assert lower_bound_rounds(16 * k**3).rounds == k
+
+
+def test_lower_bound_returns_for_a_delta_of_seventy_and_more_digits():
+    script = (
+        "from colorreduce import lower_bound_rounds\n"
+        "for delta in (10**70, 10**150):\n"
+        "    r = lower_bound_rounds(delta).rounds\n"
+        "    t = delta / 16 + 1e-9\n"
+        "    assert r ** 3 <= t < (r + 1) ** 3, r\n"
+        "    print(r)\n"
+    )
+    proc = run_python(script, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert [len(line) for line in proc.stdout.split()] == [23, 50]
+
+
+def walked_independent_sets(graph, count, seed):
+    """random_independent_sets as it was before shared rows were skipped:
+    every chosen vertex blocks itself and its whole row."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        order = list(range(graph.n_vertices))
+        rng.shuffle(order)
+        blocked, chosen = set(), []
+        for i in order:
+            if i in blocked:
+                continue
+            chosen.append(i)
+            blocked.add(i)
+            blocked.update(graph.adjacency[i])
+        out.append(frozenset(graph.vertices[i] for i in chosen))
+    return out
+
+
+def test_independent_sets_equal_the_row_by_row_walk(host_7_4):
+    hosts = [host_7_4, build_local1(5, 3, SET), build_relaxed_levels(2, 3, 2)[-1]]
+    assert len(set(map(id, host_7_4.adjacency))) < host_7_4.n_vertices
+    for host in hosts:
+        for seed in range(50):
+            assert random_independent_sets(host, 4, seed) == walked_independent_sets(host, 4, seed)
 
 
 @pytest.mark.parametrize("call,named", [

@@ -687,6 +687,119 @@ def test_golden_digests():
     assert got["multiset depth 2"].child_size == 3
 
 
+def eager_digest(view, memo):
+    """The digest as View.make computed it for every new view: the kind,
+    the inner digest and each child's digest and count, children sorted
+    by digest.  Parts are looked up in memo, so build it bottom-up; no
+    digest of the view's own is read."""
+    if view.depth == 0:
+        return blake2b(b"L%s%d" % (b"S" if view.kind == SET else b"M", view.base_color),
+                       digest_size=16).digest()
+    counts = dict(zip(view.child_lookup, view.counts or [1] * len(view.child_lookup)))
+    parts = [b"N", b"S" if view.kind == SET else b"M", memo[view.inner]]
+    for child in sorted(view.child_lookup, key=memo.__getitem__):
+        parts += (memo[child], b"%d," % counts[child])
+    return blake2b(b"".join(parts), digest_size=16).digest()
+
+
+def fresh_views(rng, kind, base, depth, width):
+    """Levels 0..depth of random views over colors from base up, which no
+    other test interns; children are drawn with repeats and (view, count)
+    pairs, so multiset views carry multiplicities."""
+    levels = [[leaf(kind, base + c) for c in range(width)]]
+    for _ in range(depth):
+        below = levels[-1]
+        level = []
+        for _ in range(width):
+            kids = [rng.choice(below) if rng.random() < 0.5
+                    else (rng.choice(below), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+            level.append(View.make(kind, rng.choice(below), kids))
+        levels.append(level)
+    return levels
+
+
+def eager_digests(levels):
+    memo = {}
+    for level in levels:
+        for v in level:
+            memo[v] = eager_digest(v, memo)
+    return memo
+
+
+@pytest.mark.parametrize("kind", [SET, MULTISET])
+def test_lazy_digests_equal_the_eager_formula(kind):
+    rng = random.Random(kind)
+    with_counts = 0
+    for trial in range(40):
+        base = 4 * 10**12 + (trial + 100 * (kind == MULTISET)) * 10**4
+        levels = fresh_views(rng, kind, base, rng.randint(0, 4), 6)
+        memo = eager_digests(levels)
+        assert all(v._digest is None for level in levels[1:] for v in level)
+        # read deepest first (parts still unsealed) on even trials and
+        # level by level (every part sealed) on odd ones
+        order = [v for level in levels for v in level]
+        for v in order[::-1] if trial % 2 == 0 else order:
+            assert v.digest == memo[v]
+        with_counts += sum(v.counts is not None for v in order)
+    assert (with_counts > 0) == (kind == MULTISET)
+
+
+def test_digest_of_a_deep_path_view_is_readable():
+    base = 5 * 10**12
+    g = ColoredGraph.from_edges(3, [(0, 1), (1, 2)], [base + 1, base + 2, base + 3], base + 3, 2)
+    levels = [extract_all_views(g, 0, SET)]
+    for _ in range(5000):
+        at = levels[-1].__getitem__
+        levels.append([View.make(SET, levels[-1][v], map(at, g.adjacency[v])) for v in range(3)])
+    deep = levels[-1][1]
+    assert deep.depth == 5000 and deep.inner._digest is None
+    assert deep.digest == eager_digests(levels)[deep]
+
+
+def test_first_reads_of_one_digest_across_threads_agree():
+    n_threads = 8
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(10):
+            levels = fresh_views(random.Random(trial), MULTISET, 6 * 10**12 + trial * 10**4, 30, 4)
+            deep = levels[-1][0]
+            assert deep._digest is None
+            barrier = threading.Barrier(n_threads)
+            results = [None] * n_threads
+
+            def read(slot):
+                barrier.wait(timeout=10)
+                results[slot] = deep.digest
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert results == [eager_digests(levels)[deep]] * n_threads
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_building_a_host_computes_no_digest_below_its_leaves():
+    # a child process: the pool is process-global, and another test may
+    # already have read these views' digests
+    script = (
+        "from colorreduce import MULTISET, build_local1\n"
+        "host = build_local1(5, 3, MULTISET)\n"
+        "parts = [v.inner for v in host.vertices]\n"
+        "parts += [c for v in host.vertices for c in v.child_lookup]\n"
+        "print(host.n_vertices, sum(v._digest is None for v in host.vertices),\n"
+        "      sum(p._digest is None for p in parts))\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    n, undigested, undigested_leaves = map(int, proc.stdout.split())
+    assert n > 0 and undigested == n and undigested_leaves == 0
+
+
 def test_views_and_color_programs_refuse_assignment_and_deletion():
     pooled = leaf(SET, 1)
     deep = View.make(SET, View.make(SET, pooled, [leaf(SET, 2)]),
@@ -694,7 +807,8 @@ def test_views_and_color_programs_refuse_assignment_and_deletion():
     program = ColorRounds([(lambda color, seen: color, 0)])
     rounds = program.rounds
     for obj, name in ((pooled, "depth"), (pooled, "base_color"), (deep, "inner"),
-                      (deep, "children"), (program, "rounds")):
+                      (deep, "children"), (pooled, "digest"), (deep, "digest"),
+                      (program, "rounds")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 5)
         with pytest.raises(AttributeError):
