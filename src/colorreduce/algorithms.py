@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstructionError, ParameterError, _need_ints
-from .simulate import ColorRounds, NodeProgram, _Immutable
+from .errors import ConstructionError, ParameterError, _Immutable, _need_ints
+from .simulate import ColorRounds, NodeProgram
 
 
 def logstar2(x) -> int:
@@ -121,27 +121,25 @@ class CoverFreeFamily:
         if self.m > self.params.q ** (self.params.deg + 1):
             raise ParameterError("palette larger than available polynomials")
 
-    def evaluate(self, color: int, a: int) -> int:
-        """P_color(a) over GF(q); the coefficients of P_color, lowest
-        first, are the base-q digits of color - 1.  No range check."""
-        q, rest = self.params.q, color - 1
-        if a == 0:
-            return rest % q
-        acc, power = 0, 1
-        while rest:
-            rest, coef = divmod(rest, q)
-            acc += coef * power
-            power *= a
-        return acc % q
-
     def member(self, color: int) -> frozenset[int]:
         if not 1 <= color <= self.m:
             raise ParameterError(f"color {color} outside [1, {self.m}]")
         q = self.params.q
-        return frozenset(a * q + self.evaluate(color, a) + 1 for a in range(q))
+        return frozenset(a * q + _evaluate(q, color, a) + 1 for a in range(q))
 
     def members(self):
         return [self.member(c) for c in range(1, self.m + 1)]
+
+
+def _evaluate(q: int, color: int, a: int) -> int:
+    """P_color(a) over GF(q); the coefficients of P_color, lowest first,
+    are the base-q digits of color - 1.  No range check."""
+    rest, acc, power = color - 1, 0, 1
+    while rest:
+        acc += rest % q * power
+        rest //= q
+        power *= a
+    return acc % q
 
 
 def build_family(params: LinialParams, m: int) -> CoverFreeFamily:
@@ -209,12 +207,7 @@ def _free_point(q: int, color: int, neighbor_colors) -> int | None:
             if acc % q == 0:
                 break
         else:
-            rest, acc, power = color - 1, 0, 1
-            while rest:
-                acc += rest % q * power
-                rest //= q
-                power *= a
-            return a * q + acc % q + 1
+            return a * q + _evaluate(q, color, a) + 1
     return None
 
 
@@ -287,7 +280,7 @@ class _kw_rule(_Immutable):
 
 def _schedule_program(rounds, palettes, name) -> NodeProgram:
     """`rounds` holds one (rule, keep) pair per round; see ColorRounds."""
-    return ColorRounds(rounds).program(name, meta={"palettes": palettes})
+    return ColorRounds(rounds).program(name, meta={"palettes": tuple(palettes)})
 
 
 def linial_step_program(m: int, delta: int) -> NodeProgram:

@@ -546,18 +546,11 @@ def lower_bound_rounds(delta: int, C: float = 1.0, eta: float = 0.0) -> BoundRep
 
 def _cube_root_floor(t: float, guess: int) -> int:
     """The largest r >= 0 with r**3 <= t, for t > 0 (int against float
-    compares exactly): gallop from guess to a bracket, then bisect.  The
-    float cube root is off by about guess * 1e-16, so a walk by ones
+    compares exactly), by bisection on [0, 2 * guess + 2].  guess, the
+    float cube root, is off by about guess * 1e-16, so a walk by ones
     from it takes millions of steps once guess passes about 10**22."""
-    lo, hi, step = max(guess, 0), max(guess, 0), 1
-    if lo ** 3 <= t:
-        while hi ** 3 <= t:
-            lo, hi, step = hi, hi + step, 2 * step
-    else:
-        while lo > 0 and lo ** 3 > t:
-            hi, lo, step = lo, max(lo - step, 0), 2 * step
-    # lo**3 <= t < hi**3
-    while hi - lo > 1:
+    lo, hi = 0, 2 * guess + 2
+    while hi - lo > 1:  # lo**3 <= t < hi**3
         mid = (lo + hi) // 2
         if mid ** 3 <= t:
             lo = mid

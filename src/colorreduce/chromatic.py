@@ -198,28 +198,20 @@ def _search_k_coloring(adj: _Rows, k: int, budget: _Budget):
                 colors[adj.order[r]] = c
             return "yes", colors
         r, sat = pick(max_used)
-        # symmetry break: allow at most one brand-new color
-        c = first_free(r, 0, min(k, max_used + 1))
-        if c is not None:
-            if not budget.spend():
-                return "unknown", None
-            stack.append((r, c, sat, max_used, assign(r, c, sat, max_used)))
-            max_used = max(max_used, c)
-            continue
-        # backtrack
-        while stack:
+        c = 0
+        # the next free color after c, at most one brand-new (a symmetry
+        # break); where there is none, undo the last expansion and try
+        # its rank's next color instead
+        while (c := first_free(r, c, min(k, max_used + 1))) is None:
+            if not stack:
+                return "no", None
             r, c, sat, prev_max, gain = stack.pop()
             unassign(r, c, sat, gain, max_used)
             max_used = prev_max
-            nxt = first_free(r, c, min(k, max_used + 1))
-            if nxt is not None:
-                if not budget.spend():
-                    return "unknown", None
-                stack.append((r, nxt, sat, max_used, assign(r, nxt, sat, max_used)))
-                max_used = max(max_used, nxt)
-                break
-        else:
-            return "no", None
+        if not budget.spend():
+            return "unknown", None
+        stack.append((r, c, sat, max_used, assign(r, c, sat, max_used)))
+        max_used = max(max_used, c)
 
 
 def dsatur(g) -> tuple[list[int], int]:

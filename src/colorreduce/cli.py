@@ -2,9 +2,12 @@
 
 Every run is reproducible from its flags: artifacts land in a directory
 named by a content hash of the parsed configuration (override with
---out), and all randomness flows through explicit seeds.  Exit codes:
-0 success, 1 domain failure (infeasible parameters, caps, refuter
-preconditions), 2 usage error.
+--out), and all randomness flows through explicit seeds.  The directory
+is made only once the command's work has succeeded, so a run that stops
+on an error leaves none (a refute or verify-hom whose check comes out
+false still writes its artifacts, then exits 1).  Exit codes: 0 success,
+1 domain failure (infeasible parameters, caps, refuter preconditions),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -33,18 +36,27 @@ FAMILY_ALIASES = {
 CAP_HELP = "bound on a build's projected vertex count and on its edge count"
 
 
-def _config_dir(base, subcommand, args_dict):
-    payload = json.dumps(args_dict, sort_keys=True).encode()
-    digest = sha256(payload).hexdigest()[:12]
-    out = Path(base) if base else Path("runs") / f"{subcommand}-{digest}"
+def _finish(args, artifacts, summary, status=0):
+    """Make the run directory, write `artifacts` (file name -> JSON data,
+    or a function that writes the open file) into it, print the summary
+    line and return `status`, the exit code.  The directory is --out,
+    else runs/<subcommand>-<12 hex of the sha256 of the other flags>."""
+    if args.out:
+        out = Path(args.out)
+    else:
+        flags = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")}
+        digest = sha256(json.dumps(flags, sort_keys=True).encode()).hexdigest()[:12]
+        out = Path("runs") / f"{args.subcommand}-{digest}"
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_json(path, data):
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    for name, data in artifacts.items():
+        with open(out / name, "w", newline="") as fh:
+            if callable(data):
+                data(fh)
+            else:
+                json.dump(data, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+    print(json.dumps({**summary, "out": str(out)}, sort_keys=True))
+    return status
 
 
 def _instance(args, parser):
@@ -83,43 +95,27 @@ def _run_coloring(args, parser):
             f"instance has (m={g.m}, delta={g.delta_cap}), flags say ({args.m}, {args.delta})"
         )
     prog = _program(args, parser)
-    kind = SET if args.semantics == "set" else MULTISET
-    phi, trace = run(g, prog, kind=kind, trace=args.trace)
-    out = _config_dir(args.out, args.subcommand, _arg_dict(args))
-    _write_json(out / "instance.json", graph_to_json(g))
-    _write_json(out / "assignment.json", assignment_to_json(phi))
+    phi, trace = run(g, prog, kind=args.semantics, trace=args.trace)
+    artifacts = {"instance.json": graph_to_json(g), "assignment.json": assignment_to_json(phi)}
     palettes = (prog.meta or {}).get("palettes")
     if palettes:
-        with open(out / "palettes.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "palette"])
-            for i, p in enumerate(palettes):
-                writer.writerow([i, p])
+        artifacts["palettes.csv"] = lambda fh: csv.writer(fh).writerows(
+            [("round", "palette"), *enumerate(palettes)])
     if trace is not None:
-        with open(out / "trace.jsonl", "w") as fh:
-            trace.to_jsonl(fh)
-    proper = None if args.algo == "full-info" else validate_proper(g, phi)
+        artifacts["trace.jsonl"] = trace.to_jsonl
     summary = {
         "program": prog.name,
         "rounds": prog.round_budget(g.m, g.delta_cap, g.n),
         "palette": phi.palette,
-        "proper": proper,
-        "out": str(out),
+        "proper": None if args.algo == "full-info" else validate_proper(g, phi),
     }
-    print(json.dumps(summary, sort_keys=True))
-    return 0
-
-
-def _arg_dict(args):
-    skip = {"func", "out", "subcommand"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    return _finish(args, artifacts, summary)
 
 
 def _build_graph_from_flags(args, parser):
     family = FAMILY_ALIASES[args.family]
-    variant = MULTISET if args.variant == "multiset" else SET
     if family == nbhd.LOCAL1:
-        return nbhd.build_local1(args.m, args.d, variant=variant, cap=args.cap)
+        return nbhd.build_local1(args.m, args.d, variant=args.variant, cap=args.cap)
     if family == nbhd.SETLOCAL:
         return nbhd.build_setlocal(args.r, args.m, args.d, cap=args.cap)
     if family == nbhd.RELAXED:
@@ -129,17 +125,12 @@ def _build_graph_from_flags(args, parser):
 
 def cmd_build(args, parser):
     graph = _build_graph_from_flags(args, parser)
-    out = _config_dir(args.out, "build", _arg_dict(args))
-    _write_json(out / "graph.json", nbhd.graph_to_json(graph))
     stats = {**graph.stats(), "clique_lower_bound": chromatic.clique_lower_bound(graph)}
-    _write_json(out / "stats.json", stats)
-    print(json.dumps({**stats, "out": str(out)}, sort_keys=True))
-    return 0
+    return _finish(args, {"graph.json": nbhd.graph_to_json(graph), "stats.json": stats}, stats)
 
 
 def cmd_chi(args, parser):
     graph = _build_graph_from_flags(args, parser)
-    out = _config_dir(args.out, "chi", _arg_dict(args))
     if args.export:
         chromatic.export_dimacs(graph, args.export)
     if args.k is not None:
@@ -153,28 +144,24 @@ def cmd_chi(args, parser):
             "expansions": res.expansions_used,
             "witness": list(res.witness) if res.witness else None,
         }
-    _write_json(out / "chi.json", result)
-    print(json.dumps({**{k: v for k, v in result.items() if k != "witness"},
-                      "out": str(out)}, sort_keys=True))
-    return 0
+    summary = {k: v for k, v in result.items() if k != "witness"}
+    return _finish(args, {"chi.json": result}, summary)
 
 
 def cmd_refute(args, parser):
     family = FAMILY_ALIASES[args.family]
     if family not in (nbhd.LOCAL1, nbhd.RELAXED):
         parser.error("refute supports --family nh1 or nt")
-    kind = MULTISET if args.variant == "multiset" else SET
+    kind = args.variant if family == nbhd.LOCAL1 else SET
     try:
         with open(args.classes) as fh:
-            classes = [[view_from_json(v, kind if family == nbhd.LOCAL1 else SET) for v in cl]
-                       for cl in json.load(fh)]
+            classes = [[view_from_json(v, kind) for v in cl] for cl in json.load(fh)]
     except OSError as exc:
         raise ParameterError(f"cannot read classes file {args.classes}: {exc}") from exc
     except (TypeError, ValueError) as exc:  # TypeError: a file that is not a list of lists
         raise ParameterError(f"malformed classes file {args.classes}: {exc!r}") from exc
     except RecursionError:  # from json.load; view_from_json raises ValueError
         raise ParameterError(f"classes file {args.classes} is nested too deeply") from None
-    transcript = {"classes": [len(cl) for cl in classes]}
     if family == nbhd.LOCAL1:
         if args.defect > 0:
             node = bounds.uncovered_defective_node(classes, args.m, args.d, args.defect, kind=kind)
@@ -182,14 +169,12 @@ def cmd_refute(args, parser):
             node = bounds.uncovered_local1_node(classes, args.m, args.d, kind=kind)
     else:
         node = bounds.refute_relaxed(classes, args.r, args.m, args.d, cap=args.cap)
-    transcript["uncovered"] = view_to_json(node)
+    uncovered = view_to_json(node)
     absent = all(node not in set(cl) for cl in classes)
-    transcript["verified_absent_from_all_classes"] = absent
-    out = _config_dir(args.out, "refute", _arg_dict(args))
-    _write_json(out / "counterexample.json", view_to_json(node))
-    _write_json(out / "transcript.json", transcript)
-    print(json.dumps({"uncovered": view_to_json(node), "out": str(out)}, sort_keys=True))
-    return 0 if absent else 1
+    transcript = {"classes": [len(cl) for cl in classes], "uncovered": uncovered,
+                  "verified_absent_from_all_classes": absent}
+    return _finish(args, {"counterexample.json": uncovered, "transcript.json": transcript},
+                   {"uncovered": uncovered}, 0 if absent else 1)
 
 
 def cmd_verify_hom(args, parser):
@@ -205,10 +190,7 @@ def cmd_verify_hom(args, parser):
         "domain_vertices": hom.domain.n_vertices,
         "codomain_vertices": hom.codomain.n_vertices,
     }
-    out = _config_dir(args.out, "verify-hom", _arg_dict(args))
-    _write_json(out / "report.json", result)
-    print(json.dumps({**result, "out": str(out)}, sort_keys=True))
-    return 0 if report.ok else 1
+    return _finish(args, {"report.json": result}, result, 0 if report.ok else 1)
 
 
 def cmd_bound(args, parser):
@@ -218,22 +200,18 @@ def cmd_bound(args, parser):
         "rounds": report.rounds, "neighbor_bound": report.neighbor_bound,
         "m_threshold": report.m_threshold, "threshold_ok": report.threshold_ok,
     }
-    out = _config_dir(args.out, "bound", _arg_dict(args))
-    _write_json(out / "bound.json", result)
-    print(json.dumps({**result, "out": str(out)}, sort_keys=True))
-    return 0
+    return _finish(args, {"bound.json": result}, result)
 
 
 def _add_coloring_flags(sub, algos):
     sub.add_argument("--algo", required=True, choices=algos)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--delta", type=int, required=True)
-    sub.add_argument("--semantics", choices=["set", "multiset"], default="set")
+    sub.add_argument("--semantics", choices=[SET, MULTISET], default=SET)
     sub.add_argument("--n", type=int, default=None, help="nodes of a generated random tree")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--graph", default=None, help="load instance from JSON instead")
     sub.add_argument("--rounds", type=int, default=None, help="rounds for full-info")
-    sub.add_argument("--out", default=None)
 
 
 def _add_family_flags(sub):
@@ -242,9 +220,8 @@ def _add_family_flags(sub):
     sub.add_argument("--d", type=int, required=True,
                      help="max degree (nh1/nsl) or neighbor-set bound (nt/ntilde)")
     sub.add_argument("--r", type=int, default=1)
-    sub.add_argument("--variant", choices=["set", "multiset"], default="multiset")
+    sub.add_argument("--variant", choices=[SET, MULTISET], default=MULTISET)
     sub.add_argument("--cap", type=int, default=nbhd.DEFAULT_CAP, help=CAP_HELP)
-    sub.add_argument("--out", default=None)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -287,16 +264,17 @@ def make_parser() -> argparse.ArgumentParser:
     hom.add_argument("--m", type=int, required=True)
     hom.add_argument("--d", type=int, required=True)
     hom.add_argument("--cap", type=int, default=nbhd.DEFAULT_CAP, help=CAP_HELP)
-    hom.add_argument("--out", default=None)
     hom.set_defaults(func=cmd_verify_hom)
 
     bnd = subs.add_parser("bound", help="round lower bound for a palette target")
     bnd.add_argument("--delta", type=int, required=True)
     bnd.add_argument("--C", type=float, default=1.0)
     bnd.add_argument("--eta", type=float, default=0.0)
-    bnd.add_argument("--out", default=None)
     bnd.set_defaults(func=cmd_bound)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--out", default=None,
+                         help="run directory (default: runs/<subcommand>-<hash>)")
     return parser
 
 

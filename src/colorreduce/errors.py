@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the small guards shared across the package."""
 
 
 class ColorReduceError(Exception):
@@ -47,6 +47,19 @@ class ConstructionError(ColorReduceError):
     solver's witness check on states their correctness arguments rule
     out; any occurrence is a bug, never an expected runtime condition.
     """
+
+
+class _Immutable:
+    """Base of values whose fields __init__ sets through
+    object.__setattr__; later assignment and deletion raise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
 def _need_ints(**params):

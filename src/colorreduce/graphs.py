@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (CoverageError, GraphError, PaletteMismatchError, ParameterError,
-                     _need_ints)
+                     _Immutable, _need_ints)
 
 
-class _Rows(tuple):
+class _Rows(_Immutable, tuple):
     """Checked neighbor rows: row v is a strictly ascending tuple of v's
     neighbors, each an int in [0, n) other than v, and u is in row v
     exactly when v is in row u.
@@ -38,12 +38,6 @@ class _Rows(tuple):
     and cached on the value; assignment and deletion raise AttributeError
     (cached_property writes the instance dict, not through __setattr__).
     """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"checked rows are immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"checked rows are immutable; cannot delete {name!r}")
 
     @classmethod
     def checked(cls, rows, error=GraphError) -> _Rows:

@@ -39,9 +39,9 @@ import json
 from dataclasses import dataclass
 from hashlib import blake2b
 from types import MappingProxyType
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
-from .errors import ParameterError, SimulationError
+from .errors import ParameterError, SimulationError, _Immutable
 from .graphs import ColorAssignment, ColoredGraph
 from .views import (MULTISET, SET, View, canonical_decode, canonical_encode,
                     extract_all_views)
@@ -56,20 +56,11 @@ class NodeProgram:
     finalize: Callable[[Any], int]
     round_budget: Callable[[int, int, int], int]
     name: str = "program"
-    meta: dict | None = None
+    meta: Mapping | None = None
 
-
-class _Immutable:
-    """Base of slotted values that __init__ sets through
-    object.__setattr__; later assignment and deletion raise."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+    def __post_init__(self):
+        if self.meta is not None:  # stored read-only, as a copy
+            object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
 
 def _star(k: int) -> tuple[tuple[int, ...], ...]:
@@ -156,12 +147,22 @@ class SimTrace:
     kind: str
     rounds: tuple = ()
 
+    def _entry(self, round_index, node):
+        """IndexError, naming the valid range, for a round outside
+        [1, len(rounds)] or a node outside [0, n); no index wraps."""
+        if not 0 < round_index <= len(self.rounds):
+            raise IndexError(f"round {round_index} outside [1, {len(self.rounds)}]")
+        row = self.rounds[round_index - 1]
+        if not 0 <= node < len(row):
+            raise IndexError(f"node {node} outside [0, {len(row)})")
+        return row[node]
+
     def sent_at(self, round_index, node) -> bytes:
         """Message broadcast by `node` in 1-based round `round_index`."""
-        return self.rounds[round_index - 1][node][1]
+        return self._entry(round_index, node)[1]
 
     def state_digest_at(self, round_index, node) -> str:
-        return self.rounds[round_index - 1][node][0]
+        return self._entry(round_index, node)[0]
 
     def to_jsonl(self, fh):
         for t, row in enumerate(self.rounds, start=1):

@@ -39,13 +39,15 @@ from hashlib import blake2b
 from itertools import repeat
 from operator import attrgetter, itemgetter
 
+from .errors import _Immutable
+
 SET = "set"
 MULTISET = "multiset"
 
 _KIND_BYTE = {SET: b"S", MULTISET: b"M"}
 
 
-class View:
+class View(_Immutable):
     """Immutable recursive view; construct via View.leaf / View.make.
 
     `child_lookup` holds the distinct children in `id` order, and `counts`
@@ -62,12 +64,6 @@ class View:
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use View.leaf(...) or View.make(...)")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"View is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"View is immutable; cannot delete {name!r}")
 
     @classmethod
     def _intern(cls, key, kind, depth, base_color, inner, lookup, counts, digest):
@@ -176,7 +172,7 @@ class View:
 
 
 _own_digest = attrgetter("_digest")
-_set_digest = View._digest.__set__  # the slot itself, past View.__setattr__
+_set_digest = View._digest.__set__  # the slot itself, past _Immutable.__setattr__
 _NODE_PREFIX = {kind: b"N" + byte for kind, byte in _KIND_BYTE.items()}
 
 

@@ -92,7 +92,7 @@ def test_criterion_03_kw_single_step():
         formula = math.ceil(m * (1 - 1 / (delta + 2)))
         ok = ok and kw_target(m, delta) == expected == formula
         prog = kw_step_program(m, delta)
-        ok = ok and prog.meta["palettes"] == [m, expected]
+        ok = ok and prog.meta["palettes"] == (m, expected)
     _report(3, ok, "kw targets 10->8 (delta 2) and 7->6 (delta 5) exact")
 
 

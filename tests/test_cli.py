@@ -213,6 +213,13 @@ def test_refute_honours_cap_zero(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_chi_failure_leaves_no_run_directory(tmp_path, capsys):
+    code = main(["chi", "--family", "nh1", "--m", "5", "--d", "3", "--k", "0",
+                 "--out", str(tmp_path / "run")])
+    _assert_one_error_line(code, capsys)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("member", [
     # a two-round vertex: its center is a view, not a color
     {"inner": {"inner": 1, "children": [[2, 1]]},
@@ -351,3 +358,55 @@ def test_run_directories_repeat_across_hash_seeds_and_allocators(tmp_path):
     for name in runs:
         assert contents["1", name], name
         assert contents["1", name] == contents["2", name], name
+
+
+PINNED_RUNS = {
+    "color": ["color", "--algo", "delta1", "--m", "1000", "--delta", "4",
+              "--n", "40", "--seed", "7"],
+    "simulate-full-info": ["simulate", "--algo", "full-info", "--rounds", "2", "--m", "6",
+                           "--delta", "3", "--n", "8", "--seed", "2", "--trace"],
+    "simulate-linial": ["simulate", "--algo", "linial", "--m", "1000", "--delta", "3",
+                        "--n", "12", "--seed", "1", "--trace"],
+    "build": ["build", "--family", "nh1", "--m", "3", "--d", "2"],
+    "chi": ["chi", "--family", "nh1", "--m", "4", "--d", "2"],
+    "chi-k": ["chi", "--family", "nh1", "--m", "5", "--d", "3", "--k", "2"],
+    "refute": ["refute", "--family", "nh1", "--m", "5", "--d", "3",
+               "--classes", "classes.json"],
+    "verify-hom": ["verify-hom", "--which", "h", "--r", "1", "--m", "3", "--d", "2"],
+    "bound": ["bound", "--delta", "1024"],
+}
+
+# sha256 prefixes of stdout and of every file of the run directory
+PINNED_DIGESTS = {
+    "bound": {"bound.json": "ac78ca761cb9", "stdout": "925a90f0056b"},
+    "build": {"graph.json": "555db3e07480", "stats.json": "ea45c0582198",
+              "stdout": "be5b9d75e0e7"},
+    "chi": {"chi.json": "d13b665c70c1", "stdout": "2f79c654b054"},
+    "chi-k": {"chi.json": "d017d9b193c8", "stdout": "f975217be06d"},
+    "color": {"instance.json": "827a149d3d89", "assignment.json": "53b2bb20bcee",
+              "palettes.csv": "76807c17e42e", "stdout": "6321fbe879cc"},
+    "refute": {"counterexample.json": "251c17bd3757", "transcript.json": "b4cc3e505791",
+               "stdout": "6b664c978f7a"},
+    "simulate-full-info": {"instance.json": "317cd2cb0c30", "assignment.json": "229872e80088",
+                           "trace.jsonl": "8abc7a70e052", "stdout": "72aadaaf95e1"},
+    "simulate-linial": {"instance.json": "fde244974563", "assignment.json": "d33d20c70fdc",
+                        "palettes.csv": "94a52f537752", "trace.jsonl": "d3f777012736",
+                        "stdout": "f31097b2b593"},
+    "verify-hom": {"report.json": "a6a5ad9e7d67", "stdout": "117dd03e411d"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_directory_and_summary_line_are_pinned(name, tmp_path, monkeypatch, capsys):
+    # run from tmp_path without --out, so the summary's "out" is the
+    # default runs/<subcommand>-<hash> and its name is pinned with stdout
+    monkeypatch.chdir(tmp_path)
+    _write_classes(tmp_path / "classes.json",
+                   random_independent_sets(build_local1(5, 3, MULTISET), 2, seed=3))
+    assert main(PINNED_RUNS[name]) == 0
+    stdout = capsys.readouterr().out
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert json.loads(stdout)["out"] == f"runs/{run_dir.name}"
+    digests = {p.name: sha256(p.read_bytes()).hexdigest()[:12] for p in run_dir.iterdir()}
+    digests["stdout"] = sha256(stdout.encode()).hexdigest()[:12]
+    assert digests == PINNED_DIGESTS[name]

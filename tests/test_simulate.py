@@ -90,6 +90,20 @@ def test_trace_is_immutable():
     assert all(isinstance(row, tuple) for row in trace.rounds)
 
 
+@pytest.mark.parametrize("accessor", ["sent_at", "state_digest_at"])
+def test_trace_accessors_refuse_indices_out_of_range(accessor):
+    g = random_colored_tree(6, 3, 5, seed=2)
+    _, trace = run(g, full_information_program(2), MULTISET, trace=True)
+    at = getattr(trace, accessor)
+    assert at(1, 0) is not None and at(2, 5) is not None
+    for round_index in (0, -1, 3):
+        with pytest.raises(IndexError, match=rf"round {round_index} outside \[1, 2\]"):
+            at(round_index, 0)
+    for node in (-1, 6):
+        with pytest.raises(IndexError, match=rf"node {node} outside \[0, 6\)"):
+            at(1, node)
+
+
 def test_full_information_state_decodes_to_view():
     from colorreduce import canonical_decode
 
@@ -457,3 +471,16 @@ def test_rule_objects_are_immutable():
                 setattr(rule, name, 7)
             with pytest.raises(AttributeError):
                 delattr(rule, name)
+
+
+def test_program_meta_is_a_read_only_copy():
+    prog = delta_plus_one_program(100, 3)
+    assert prog.meta["palettes"] == (100, 49, 40, 32, 26, 21, 17, 14, 12, 10, 8, 7, 6, 5, 4)
+    with pytest.raises(AttributeError):
+        prog.meta["palettes"].append(1)
+    with pytest.raises(TypeError):
+        prog.meta["palettes"] = [1]
+    meta = {"palettes": (5, 4)}
+    custom = NodeProgram(prog.init, prog.step, prog.finalize, prog.round_budget, meta=meta)
+    meta["palettes"] = (9,)
+    assert custom.meta == {"palettes": (5, 4)}
