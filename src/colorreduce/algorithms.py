@@ -45,14 +45,19 @@ def _next_prime(k: int) -> int:
     return k
 
 
-def _ceil_root(m: int, k: int) -> int:
-    """Smallest q >= 1 with q**k >= m (exact integer arithmetic)."""
-    if m <= 1:
-        return 1
-    q = max(1, int(round(m ** (1.0 / k))) - 2)
-    while q**k < m:
-        q += 1
-    return q
+def _iroot(n: int, k: int) -> int:
+    """The largest r >= 0 with r**k <= n, for ints n >= 0 and k >= 1, by
+    bisection on ints: with hi = 1 << ceil(bits(n) / k), hi**k > n and
+    (hi // 2)**k <= n, so no float enters."""
+    hi = 1 << -(-n.bit_length() // k)
+    lo = hi >> 1
+    while hi - lo > 1:  # lo**k <= n < hi**k
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -85,20 +90,23 @@ class LinialParams:
 
 def linial_params(m: int, delta: int) -> LinialParams:
     """Feasible (q, deg) minimizing the target palette q^2; ties prefer
-    the smaller degree."""
+    the smaller degree.
+
+    Degree deg needs a prime q >= q_min = max(delta*deg + 1, the least q
+    with q**(deg+1) >= m), over deg <= ceil(log2 m) + 1.  Degrees are
+    tried by ascending (q_min, deg), so the search stops at the first
+    q_min above the best prime found, before a low degree's huge root."""
     _need_ints(m=m, delta=delta)
     if m < 2 or delta < 1:
         raise ParameterError("need m >= 2 and delta >= 1")
-    best = None
-    max_deg = max(1, math.ceil(math.log2(m))) + 1
-    for deg in range(1, max_deg + 1):
-        q_min = max(delta * deg + 1, _ceil_root(m, deg + 1))
-        q = _next_prime(q_min)
-        if best is not None and (delta * deg + 1) ** 2 >= best.target:
+    max_deg = max(1, (m - 1).bit_length()) + 1
+    best = (math.inf, 0)
+    for q_min, deg in sorted((max(delta * deg + 1, _iroot(m - 1, deg + 1) + 1), deg)
+                             for deg in range(1, max_deg + 1)):
+        if q_min > best[0]:
             break
-        if best is None or q * q < best.target:
-            best = LinialParams(q, deg, m, delta)
-    return best
+        best = min(best, (_next_prime(q_min), deg))
+    return LinialParams(*best, m, delta)
 
 
 @dataclass(frozen=True)
@@ -185,29 +193,11 @@ def delta_plus_one_schedule(m: int, delta: int) -> list[int]:
 
 def _free_point(q: int, color: int, neighbor_colors) -> int | None:
     """a*q + P_color(a) + 1 at the first a >= 1 where no neighbor's
-    polynomial takes P_color's value, or None when every a is taken.
-
-    P_color and a neighbor's P_c meet at a exactly when their difference,
-    whose coefficients are the digit differences of color - 1 and c - 1,
-    vanishes there mod q; each difference is evaluated by Horner's rule."""
-    diffs = []
-    for c in neighbor_colors:
-        x, y, coefs = color - 1, c - 1, []
-        while x or y:
-            coefs.append(x % q - y % q)
-            x //= q
-            y //= q
-        coefs.reverse()
-        diffs.append(coefs)
+    polynomial takes P_color's value, or None when every a is taken."""
     for a in range(1, q):
-        for coefs in diffs:
-            acc = 0
-            for k in coefs:
-                acc = acc * a + k
-            if acc % q == 0:
-                break
-        else:
-            return a * q + _evaluate(q, color, a) + 1
+        b = _evaluate(q, color, a)
+        if all(_evaluate(q, c, a) != b for c in neighbor_colors):
+            return a * q + b + 1
     return None
 
 
@@ -278,8 +268,13 @@ class _kw_rule(_Immutable):
         return moved
 
 
-def _schedule_program(rounds, palettes, name) -> NodeProgram:
-    """`rounds` holds one (rule, keep) pair per round; see ColorRounds."""
+def _program(palettes, reductions: int, delta: int, name: str) -> NodeProgram:
+    """A color-set reduction round from each of the first `reductions`
+    palettes, then a merge round down to each later palette (keeping
+    every color at or below its target); see ColorRounds."""
+    rounds = [(_linial_rule(build_family(linial_params(p, delta), p)), 0)
+              for p in palettes[:reductions]]
+    rounds += [(_kw_rule(q, delta), q) for q in palettes[reductions + 1:]]
     return ColorRounds(rounds).program(name, meta={"palettes": tuple(palettes)})
 
 
@@ -287,28 +282,14 @@ def linial_step_program(m: int, delta: int) -> NodeProgram:
     """One reduction round: given a proper m-coloring, every node ends on
     the minimum element of its color set minus its neighbors' sets, a
     proper q^2-coloring."""
-    params = linial_params(m, delta)
-    family = build_family(params, m)
-    return _schedule_program([(_linial_rule(family), 0)], [m, params.target],
-                             f"linial-step[{m}->{params.target}]")
-
-
-def _schedule_rounds(palettes, delta: int):
-    """One (rule, keep) pair per step of a schedule that starts as
-    linial_palette_schedule(palettes[0], delta): a color-set reduction
-    round per step of that prefix, then a merge round per later palette
-    (which keeps every color at or below its target)."""
-    reductions = len(linial_palette_schedule(palettes[0], delta)) - 1
-    rounds = [(_linial_rule(build_family(linial_params(p, delta), p)), 0)
-              for p in palettes[:reductions]]
-    return rounds + [(_kw_rule(q, delta), q) for q in palettes[reductions + 1:]]
+    target = linial_params(m, delta).target
+    return _program([m, target], 1, delta, f"linial-step[{m}->{target}]")
 
 
 def linial_full_program(m: int, delta: int) -> NodeProgram:
     """Iterate the reduction until the target palette stops shrinking."""
     palettes = linial_palette_schedule(m, delta)
-    return _schedule_program(_schedule_rounds(palettes, delta), palettes,
-                             f"linial[{m}->{palettes[-1]}]")
+    return _program(palettes, len(palettes) - 1, delta, f"linial[{m}->{palettes[-1]}]")
 
 
 def kw_step_program(m: int, delta: int) -> NodeProgram:
@@ -319,7 +300,7 @@ def kw_step_program(m: int, delta: int) -> NodeProgram:
     if m <= delta + 1:
         raise ParameterError(f"m={m} already at or below delta+1={delta + 1}; nothing to merge")
     q = kw_target(m, delta)
-    return _schedule_program([(_kw_rule(q, delta), q)], [m, q], f"kw-step[{m}->{q}]")
+    return _program([m, q], 0, delta, f"kw-step[{m}->{q}]")
 
 
 def delta_plus_one_program(m: int, delta: int) -> NodeProgram:
@@ -328,6 +309,6 @@ def delta_plus_one_program(m: int, delta: int) -> NodeProgram:
     _need_m_delta(m, delta)
     if m < delta + 2:
         raise ParameterError(f"need m >= delta+2, got m={m}, delta={delta}")
-    palettes = delta_plus_one_schedule(m, delta)
-    return _schedule_program(_schedule_rounds(palettes, delta), palettes,
-                             f"delta1[{m},{delta}]")
+    linial = linial_palette_schedule(m, delta)
+    palettes = linial + kw_palette_schedule(linial[-1], delta)[1:]
+    return _program(palettes, len(linial) - 1, delta, f"delta1[{m},{delta}]")

@@ -40,6 +40,7 @@ from itertools import combinations, islice
 from operator import attrgetter
 from types import MappingProxyType
 
+from .algorithms import _iroot
 from .errors import ConstructionError, ParameterError, _need_ints
 from .nbhd import DEFAULT_CAP, NbhdGraph, build_relaxed_levels, mutual_edge
 from .views import MULTISET, SET, View, canonical_encode
@@ -534,29 +535,18 @@ def lower_bound_rounds(delta: int, C: float = 1.0, eta: float = 0.0) -> BoundRep
         d_cubed = math.inf
     if d_cubed == math.inf:
         raise ParameterError(f"2C delta^(2+eta) overflows a float at C={C}, delta={delta}")
+    t = delta ** (1 - eta) / (16 * C)
+    if t == math.inf:
+        raise ParameterError(f"delta^(1-eta)/(16C) overflows a float at C={C}, delta={delta}")
     D = d_cubed ** (1.0 / 3.0)
-    r_real = (delta ** (1 - eta) / (16 * C)) ** (1.0 / 3.0)
-    # integer floor robust to float cube roots of perfect cubes
-    r = _cube_root_floor(delta ** (1 - eta) / (16 * C) + 1e-9, int(r_real))
+    r_real = t ** (1.0 / 3.0)
+    # r**3 is an int, so r**3 <= t + 1e-9 exactly when r**3 <= its floor,
+    # whose integer root is exact also at the cubes a float root misses
+    r = _iroot(math.floor(t + 1e-9), 3)
     palette = C * delta ** (1 + eta)
     m_threshold = math.ceil(2 * C * delta ** (1 + eta))
     threshold_ok = D / 2 + 1 <= palette
     return BoundReport(delta, C, eta, D, r_real, r, m_threshold, threshold_ok)
-
-
-def _cube_root_floor(t: float, guess: int) -> int:
-    """The largest r >= 0 with r**3 <= t, for t > 0 (int against float
-    compares exactly), by bisection on [0, 2 * guess + 2].  guess, the
-    float cube root, is off by about guess * 1e-16, so a walk by ones
-    from it takes millions of steps once guess passes about 10**22."""
-    lo, hi = 0, 2 * guess + 2
-    while hi - lo > 1:  # lo**3 <= t < hi**3
-        mid = (lo + hi) // 2
-        if mid ** 3 <= t:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # --- seeded family generators (suite instrumentation) ----------------------

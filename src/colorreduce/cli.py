@@ -131,8 +131,6 @@ def cmd_build(args, parser):
 
 def cmd_chi(args, parser):
     graph = _build_graph_from_flags(args, parser)
-    if args.export:
-        chromatic.export_dimacs(graph, args.export)
     if args.k is not None:
         status, witness = chromatic.is_k_colorable(graph, args.k, budget=args.budget)
         result = {"k": args.k, "status": status,
@@ -144,6 +142,8 @@ def cmd_chi(args, parser):
             "expansions": res.expansions_used,
             "witness": list(res.witness) if res.witness else None,
         }
+    if args.export:
+        chromatic.export_dimacs(graph, args.export)
     summary = {k: v for k, v in result.items() if k != "witness"}
     return _finish(args, {"chi.json": result}, summary)
 

@@ -245,8 +245,8 @@ def full_information_program(r: int) -> NodeProgram:
     The output color is a deterministic token of the final view (views of
     adjacent nodes always differ, so the token coloring is proper).
     """
-    if r < 0:
-        raise ParameterError("rounds must be >= 0")
+    if type(r) is not int or r < 0:
+        raise ParameterError(f"rounds must be an int >= 0, got {r!r}")
 
     def init(color, m, delta, n):
         return color

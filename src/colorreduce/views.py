@@ -93,7 +93,8 @@ class View(_Immutable):
         if found is not None:
             return found
         digest = blake2b(b"L%s%d" % (_KIND_BYTE[kind], color), digest_size=16).digest()
-        return cls._intern(key, kind, 0, color, None, (), None, digest)
+        # True interns as 1, so the pooled leaf must carry the int 1
+        return cls._intern(key, kind, 0, int(color), None, (), None, digest)
 
     @classmethod
     def make(cls, kind, inner, children):
@@ -319,8 +320,8 @@ def canonical_decode(data: bytes) -> View:
 
 def extract_all_views(g, r: int, kind) -> list[View]:
     """The depth-r view of every node of g under the given delivery kind."""
-    if r < 0:
-        raise ValueError("rounds must be >= 0")
+    if type(r) is not int or r < 0:
+        raise ValueError(f"rounds must be an int >= 0, got {r!r}")
     current = [View.leaf(kind, c) for c in g.psi]
     for _ in range(r):
         at = current.__getitem__
@@ -336,8 +337,8 @@ def extract_view(g, v: int, r: int, kind) -> View:
 
 def truncate(view: View, r: int) -> View:
     """The r-round view of the same node in the same graph, for r <= depth."""
-    if not 0 <= r <= view.depth:
-        raise ValueError(f"cannot truncate depth-{view.depth} view to {r}")
+    if type(r) is not int or not 0 <= r <= view.depth:
+        raise ValueError(f"cannot truncate depth-{view.depth} view to {r!r}")
     while view.depth > r:
         view = view.inner
     return view
@@ -368,7 +369,9 @@ def view_to_json(view: View):
     Multiset children are [child, count] pairs."""
     if view.depth == 0:
         return view.base_color
-    enc_order = sorted(view.children, key=lambda kv: canonical_encode(kv[0]))
+    # encodings are distinct, so this order needs no digest
+    pairs = zip(view.child_lookup, view.counts or repeat(1))
+    enc_order = sorted(pairs, key=lambda kv: canonical_encode(kv[0]))
     if view.kind == SET:
         children = [view_to_json(c) for c, _ in enc_order]
     else:

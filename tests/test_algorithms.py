@@ -1,5 +1,6 @@
 """Color reduction algorithms against brute-force oracles."""
 
+import math
 import random
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from colorreduce import (SET, ColorAssignment, ColoredGraph,
                          linial_palette_schedule, linial_params,
                          linial_step_program, logstar2, random_colored_tree,
                          run, validate_proper)
-from colorreduce.algorithms import _linial_rule, is_prime
+from colorreduce.algorithms import _iroot, _linial_rule, is_prime
 from conftest import run_python, star_next
 
 
@@ -53,6 +54,67 @@ def test_linial_params_matches_oracle_on_grid():
             assert p.q > delta * p.deg
             assert p.q ** (p.deg + 1) >= m
             assert oracle_params(m, delta)[0] == p.target
+
+
+def walked_params(m, delta):
+    """(q, deg) as linial_params first searched for it: every degree in
+    ascending order, its root walked by ones from the float guess, until
+    delta*deg + 1 alone reaches the best prime."""
+    best = None
+    for deg in range(1, max(1, math.ceil(math.log2(m))) + 2):
+        root = max(1, int(round(m ** (1.0 / (deg + 1)))) - 2)
+        while root ** (deg + 1) < m:
+            root += 1
+        q = max(delta * deg + 1, root)
+        while not is_prime(q):
+            q += 1
+        if best is not None and delta * deg + 1 >= best[0]:
+            break
+        if best is None or q < best[0]:
+            best = (q, deg)
+    return best
+
+
+def test_linial_params_equal_the_walked_search():
+    rng = random.Random(2024)
+    pairs = [(m, delta) for m in range(2, 400) for delta in range(1, 41, 3)]
+    pairs += [(10**e, delta) for e in range(1, 19) for delta in (1, 2, 3, 7, 40)]
+    pairs += [(rng.randrange(2, 10**12), rng.randint(1, 40)) for _ in range(300)]
+    for m, delta in pairs:
+        p = linial_params(m, delta)
+        assert (p.q, p.deg) == walked_params(m, delta), (m, delta)
+
+
+def test_iroot_is_the_floor_of_the_real_root():
+    for k in range(1, 7):
+        for n in range(300):
+            r = _iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
+    for k in (2, 3, 5, 41):
+        for base in (10**30, 2**200 + 1, 3**300):
+            for n in (base**k - 1, base**k, base**k + 1):
+                r = _iroot(n, k)
+                assert r**k <= n < (r + 1) ** k
+
+
+HUGE_PALETTE_SCRIPT = """
+from colorreduce import delta_plus_one_program, linial_params
+for m in (10**40, 10**400):
+    p = linial_params(m, 3)
+    palettes = delta_plus_one_program(m, 3).meta["palettes"]
+    print(p.q, p.deg, palettes[-1])
+"""
+
+
+def test_linial_params_returns_for_huge_palettes():
+    # the degree-1 root of 10**40 is near 10**20; trial-dividing its
+    # neighborhood for a prime would not return
+    proc = run_python(HUGE_PALETTE_SCRIPT, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    got = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+    for (q, deg, last), m in zip(got, (10**40, 10**400), strict=True):
+        target, oracle_deg, oracle_q = oracle_params(m, 3, max_deg=m.bit_length() + 1)
+        assert (q, deg, last) == (oracle_q, oracle_deg, 4)
 
 
 def test_build_family_zero_polynomial():

@@ -676,6 +676,13 @@ def test_lower_bound_refuses_a_delta_past_float_range(delta):
         lower_bound_rounds(delta)
 
 
+@pytest.mark.parametrize("C", [5e-324, 1e-310])
+def test_lower_bound_refuses_a_rounds_quotient_past_float_range(C):
+    # 2C delta^2 is a float, but delta / (16C) is not
+    with pytest.raises(ParameterError, match="overflows"):
+        lower_bound_rounds(64, C)
+
+
 def walked_rounds(delta, C, eta):
     """The floor of the rounds bound as it was first found: one step at a
     time from the float cube root."""

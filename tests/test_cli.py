@@ -50,6 +50,15 @@ def test_color_delta1_and_determinism(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_color_delta1_accepts_a_palette_past_float_range(tmp_path, capsys):
+    code, out = run_cli(["color", "--algo", "delta1", "--m", str(10**400), "--delta", "3",
+                         "--n", "200", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert out["proper"] is True and out["palette"] == 4
+    colors = json.loads((tmp_path / "assignment.json").read_text())["colors"]
+    assert set(colors) <= {1, 2, 3, 4}
+
+
 def test_kw_too_small_palette_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["color", "--algo", "kw", "--m", "3", "--delta", "4", "--n", "5"])
@@ -218,6 +227,14 @@ def test_chi_failure_leaves_no_run_directory(tmp_path, capsys):
                  "--out", str(tmp_path / "run")])
     _assert_one_error_line(code, capsys)
     assert not (tmp_path / "run").exists()
+
+
+def test_chi_failure_leaves_no_export(tmp_path, capsys):
+    export = tmp_path / "h.col"
+    code = main(["chi", "--family", "nh1", "--m", "5", "--d", "3", "--k", "0",
+                 "--export", str(export), "--out", str(tmp_path / "run")])
+    _assert_one_error_line(code, capsys)
+    assert sorted(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("member", [

@@ -66,6 +66,12 @@ def test_delivery_semantics_on_star():
     assert all(phi_set[i] == 1 + 1 for i in (1, 2, 3))  # leaves see just the center
 
 
+@pytest.mark.parametrize("r", [1.5, 2.0, True, -1, "2"])
+def test_full_information_program_refuses_rounds_that_are_not_ints(r):
+    with pytest.raises(ParameterError):
+        full_information_program(r)
+
+
 def test_trace_rounds_equal_budget_and_determinism():
     g = random_colored_tree(8, 3, 5, seed=9)
     prog = full_information_program(3)

@@ -267,6 +267,16 @@ def test_truncate_examples():
         truncate(v, 2)
 
 
+@pytest.mark.parametrize("r", [1.5, 1.0, True, "1", None])
+def test_round_counts_must_be_ints(r):
+    g = random_colored_tree(5, 2, 4, seed=3)
+    v = extract_view(g, 0, 2, SET)
+    for call in (lambda: truncate(v, r), lambda: extract_all_views(g, r, SET),
+                 lambda: extract_view(g, 0, r, MULTISET)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_truncation_commutes_with_extraction():
     rng = random.Random(1)
     checked = 0
@@ -628,6 +638,35 @@ def test_leaf_colors_intern_by_value():
     assert View.leaf(SET, True) is View.leaf(SET, 1)
     assert View.leaf(MULTISET, True) is View.leaf(MULTISET, 1)
     assert View.leaf(SET, 1) is not View.leaf(MULTISET, 1)
+
+
+def test_a_leaf_first_made_from_true_carries_the_int_one():
+    # in a fresh process, so that True is the first spelling of color 1
+    script = (
+        "from colorreduce import SET, View, view_from_json, view_to_json\n"
+        "first = View.leaf(SET, True)\n"
+        "v = View.leaf(SET, 1)\n"
+        "assert v is first and type(v.base_color) is int, repr(v.base_color)\n"
+        "assert view_from_json(view_to_json(v), SET) is v\n"
+        "print(view_to_json(View.make(SET, v, [View.leaf(SET, 2)])))\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "{'inner': 1, 'children': [2]}"
+
+
+def test_view_to_json_computes_no_digest():
+    script = (
+        "from colorreduce.nbhd import build_setlocal, graph_to_json\n"
+        "g = build_setlocal(2, 4, 3)\n"
+        "below = {c for v in g.vertices for c in v.child_lookup}\n"
+        "graph_to_json(g)\n"
+        "print(len(below), sum(c._digest is not None for c in below),\n"
+        "      sum(v._digest is not None for v in g.vertices))\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["28", "0", "0"]
 
 
 def oracle_twin(view):
