@@ -7,7 +7,7 @@ hold, so any failure raises ConstructionError and should be treated as a
 bug of the highest severity.
 
 Classes are arbitrary vertex collections (independent, or of bounded
-induced degree in the defective variants), not necessarily partitions:
+center defect in the defective variant), not necessarily partitions:
 the arguments only use per-class structure, which makes the statements
 testable against heuristic colorings and adversarial families alike.
 All tie-breaking follows the canonical vertex order, so counterexamples
@@ -17,9 +17,15 @@ Every refuter runs one counting step.  `_first_uncovered` drops the
 classes' global sources and takes the first remaining candidates as a
 clique T; `_least_owned` picks the member of T that is a T-source for the
 fewest classes (pigeonhole); the classes that own it are then blocked.
-A class may have at most d + 1 (d, W)-sources inside a clique W, and one
-blocking set of at most d + 1 members keeps x out of it; both one-round
-refuters run this step in `_one_round_node`, the orientations at d = 0.
+Both one-round refuters run this step in `_one_round_node`, the
+orientations at d = 0, on one class condition: the center defect
+(`_center_defect`), the most distinct centers among the members adjacent
+to one member, is at most d; at d = 0 that is independence.  It caps the
+(d, W)-sources of a class inside a clique W of colors at d + 1: with d + 2
+of them, x_0..x_{d+1}, x_0 being a source puts a member (x_0, A) with
+{x_1, ..., x_{d+1}} inside A, and each x_i being one puts x_0 in
+cover(x_i), so that member meets d + 1 distinct centers.  One blocking set
+of at most d + 1 colors then keeps x out of a class.
 Every source notion is one predicate over one map.  The cover of a class
 sends each center x to the union of the neighbor collections of the
 members centered at x, and x is a (d, W)-source iff `_blocking_set` finds
@@ -100,7 +106,8 @@ _color = attrgetter("base_color")
 def _cover(class_nodes, m=None) -> dict:
     """Center -> union of the distinct children of the members centered
     there, both read as colors in [1, m] when m is given (level-1 code
-    compares colors, not views, so its members must be one-round vertices)."""
+    compares colors, not views, so its members must be one-round vertices
+    of some host: none lists its own center)."""
     cover: dict = {}
     for node in class_nodes:
         x, children = node.inner, node.child_lookup
@@ -113,6 +120,9 @@ def _cover(class_nodes, m=None) -> dict:
         outside = set(cover).union(*cover.values()).difference(range(1, m + 1))
         if outside:
             raise ParameterError(f"class member colors {sorted(outside)} lie outside [1, {m}]")
+        own = sorted(x for x, ys in cover.items() if x in ys)
+        if own:
+            raise ParameterError(f"class members centered at {own} list their own center")
     return cover
 
 
@@ -123,6 +133,21 @@ def _member_sets(class_nodes) -> dict:
     for node in class_nodes:
         out.setdefault(node.inner.base_color, []).append(set(map(_color, node.child_lookup)))
     return out
+
+
+def _center_defect(cover, members=None) -> int:
+    """The largest number of y in a member's A with x in cover(y): the most
+    distinct centers among the members adjacent to one member (x, A).
+    With `members` (of `_member_sets`) None, each center counts as one
+    member holding cover(x); that can overcount, but decides "<= 0" exactly."""
+    worst = 0
+    for x, ys in cover.items():
+        # the y that some member at x lists and whose own members list x
+        adjacent = {y for y in ys if x in cover.get(y, ())}
+        if len(adjacent) > worst:
+            worst = len(adjacent) if members is None else max(
+                worst, *map(len, map(adjacent.intersection, members[x])))
+    return worst
 
 
 def _blocking_set(cover, x, within, d=0, members=None):
@@ -201,25 +226,14 @@ class Orientation:
 
 def orientation_of(class_nodes, m: int) -> Orientation:
     cover = _cover(class_nodes, m)
-    for x, ys in cover.items():
-        for y in ys:
-            if y != x and x in cover.get(y, ()):
-                raise ParameterError(
-                    f"class demands both directions on pair {{{x},{y}}}: not an independent set"
-                )
+    if _center_defect(cover):
+        raise ParameterError("class demands both directions on a pair: not an independent set")
     heads = {
         x: frozenset(cover.get(x, ())).union(
             y for y in range(x + 1, m + 1) if x not in cover.get(y, ()))
         for x in cover.keys() | range(1, m + 1)
     }
     return Orientation(m, MappingProxyType(heads))
-
-
-def _infer_kind(classes):
-    for cl in classes:
-        for member in cl:
-            return member.kind
-    return MULTISET
 
 
 def _one_round_node(classes, kind, m: int, delta: int, d: int, covers, members) -> View:
@@ -233,9 +247,12 @@ def _one_round_node(classes, kind, m: int, delta: int, d: int, covers, members) 
     colors that are no class's global source, x the member of T owned as a
     T-source by the fewest classes, and A is T\\{x} plus the first blocking
     set over all colors of each owning class, so (x, A) lies in none of
-    them.  |A| stays strictly below delta.
+    them.  |A| stays strictly below delta.  The result has the members'
+    view kind unless `kind` is given (multiset when the classes are empty).
     """
     colors, c = range(1, m + 1), len(classes)
+    if kind is None:
+        kind = next((member.kind for cl in classes for member in cl), MULTISET)
 
     def source_sets(within):
         return [[x for x in within if _blocking_set(cover, x, within, d, sets) is None]
@@ -273,13 +290,10 @@ def uncovered_local1_node(classes, m: int, delta: int, kind=None) -> View:
     points low -> high).  So a clique holds at most one source of a class,
     x in T is owned by at most c/|T| classes, and the blocker of an owning
     class, the first color outside heads(x), is its first color pointing
-    into x.  The result uses the class members' view kind (multiset when
-    the classes are empty).
+    into x.
     """
     _need_ints(m=m, delta=delta)
     classes = [list(cl) for cl in classes]
-    if kind is None:
-        kind = _infer_kind(classes)
     c = len(classes)
     if 4 * c > delta * delta:
         raise ParameterError(f"need c <= delta^2/4, got c={c}, delta={delta}")
@@ -471,17 +485,23 @@ def defective_sources(class_nodes, m: int, d: int, within=None) -> list[int]:
 
 
 def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> View:
-    """A one-round vertex outside every class of a d-defective family with
-    at most delta^2 / (4(d+1)^2) classes, for m >= 2*delta^2.
+    """A one-round vertex outside every class of a family of at most
+    delta^2 / (4(d+1)^2) classes of center defect at most d, for
+    m >= 2*delta^2.
 
+    The center defect of a class (`_center_defect`) is the most distinct
+    centers among the members adjacent to one member; it is at most the
+    induced degree, so every d-defective class qualifies, and so does
+    {(1,{2}), (2,{1,3}), (2,{1,4})} at d = 1, of induced degree 2.  It
+    is what the counting needs: d+2 (d, W)-sources x_0..x_{d+1} inside a
+    clique W would put a member (x_0, A) with x_1..x_{d+1} in A, and x_0
+    in every cover(x_i), so that member would meet d+1 distinct centers.
     Runs `_one_round_node` on the class covers and member sets: at most
     d+1 (d, W)-sources per class inside any clique of colors, and each
     owning class is blocked by its first blocking set, of size <= d+1.
     """
     _need_ints(m=m, delta=delta, d=d)
     classes = [list(cl) for cl in classes]
-    if kind is None:
-        kind = _infer_kind(classes)
     c = len(classes)
     if d < 0:
         raise ParameterError("need d >= 0")
@@ -489,13 +509,13 @@ def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> 
         raise ParameterError(f"need c <= delta^2/(4(d+1)^2), got c={c}")
     if m < 2 * delta * delta:
         raise ParameterError(f"need m >= 2*delta^2 = {2 * delta * delta}, got m={m}")
-    for k, cl in enumerate(classes):
-        defect = class_defect(cl)
-        if defect > d:
-            raise ParameterError(f"class {k} has induced degree {defect} > d={d}")
     covers = [_cover(cl, m) for cl in classes]
-    # only blocking sets of two or more colors read the members
+    # only blocking sets of two or more colors read the members; at d = 0
+    # the cover alone decides the center defect
     members = [_member_sets(cl) if d else None for cl in classes]
+    for k, (cover, sets) in enumerate(zip(covers, members)):
+        if _center_defect(cover, sets) > d:
+            raise ParameterError(f"class {k} has a member meeting more than d={d} distinct centers")
     return _one_round_node(classes, kind, m, delta, d, covers, members)
 
 

@@ -40,21 +40,25 @@ def _finish(args, artifacts, summary, status=0):
     """Make the run directory, write `artifacts` (file name -> JSON data,
     or a function that writes the open file) into it, print the summary
     line and return `status`, the exit code.  The directory is --out,
-    else runs/<subcommand>-<12 hex of the sha256 of the other flags>."""
+    else runs/<subcommand>-<12 hex of the sha256 of the other flags>; one
+    that cannot be made or written raises ParameterError."""
     if args.out:
         out = Path(args.out)
     else:
         flags = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")}
         digest = sha256(json.dumps(flags, sort_keys=True).encode()).hexdigest()[:12]
         out = Path("runs") / f"{args.subcommand}-{digest}"
-    out.mkdir(parents=True, exist_ok=True)
-    for name, data in artifacts.items():
-        with open(out / name, "w", newline="") as fh:
-            if callable(data):
-                data(fh)
-            else:
-                json.dump(data, fh, sort_keys=True, indent=1)
-                fh.write("\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, data in artifacts.items():
+            with open(out / name, "w", newline="") as fh:
+                if callable(data):
+                    data(fh)
+                else:
+                    json.dump(data, fh, sort_keys=True, indent=1)
+                    fh.write("\n")
+    except OSError as exc:
+        raise ParameterError(f"cannot write run directory {out}: {exc}") from exc
     print(json.dumps({**summary, "out": str(out)}, sort_keys=True))
     return status
 
@@ -81,11 +85,10 @@ def _program(args, parser):
         if args.m < args.delta + 2:
             parser.error(f"delta1 needs m >= delta+2, got m={args.m}, delta={args.delta}")
         return algorithms.delta_plus_one_program(args.m, args.delta)
-    if algo == "full-info":
-        if args.rounds is None:
-            parser.error("full-info needs --rounds")
-        return full_information_program(args.rounds)
-    parser.error(f"unknown algorithm {algo!r}")
+    # full-info, the one other choice argparse admits
+    if args.rounds is None:
+        parser.error("full-info needs --rounds")
+    return full_information_program(args.rounds)
 
 
 def _run_coloring(args, parser):

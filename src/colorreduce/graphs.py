@@ -150,20 +150,24 @@ class ColoredGraph:
 
     @staticmethod
     def from_edges(n, edges, psi, m, delta_cap=None):
-        """Build a graph from an edge list, sorting neighbor lists."""
+        """Build a graph from an edge list, sorting neighbor lists.  An
+        edge that is not a pair of ints (bool is not) in [0, n) raises
+        GraphError."""
         _need_ints(n=n)
         nbrs = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge {u}-{v} has an endpoint outside [0, {n})")
+        for e in edges:
+            try:
+                u, v = e
+                ok = type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise GraphError(f"edge {e!r} is not a pair of integers in [0, {n})")
             nbrs[u].add(v)
             nbrs[v].add(u)
         if delta_cap is None:
             delta_cap = max(map(len, nbrs), default=0)
         return ColoredGraph(n, [sorted(s) for s in nbrs], psi, m, delta_cap)
-
-    def degree(self, v):
-        return len(self.adjacency[v])
 
     def max_degree(self):
         return max(len(nbrs) for nbrs in self.adjacency)
@@ -292,7 +296,7 @@ def graph_to_json(g: ColoredGraph) -> dict:
 def graph_from_json(data: dict) -> ColoredGraph:
     """Inverse of graph_to_json.  A missing key or a value of the wrong
     type raises ParameterError, an edge that is not a pair of integers
-    GraphError."""
+    GraphError (from `ColoredGraph.from_edges`)."""
     try:
         n, edges, psi, m, delta = (data[key] for key in ("n", "edges", "psi", "m", "delta"))
     except (KeyError, TypeError) as exc:
@@ -300,9 +304,6 @@ def graph_from_json(data: dict) -> ColoredGraph:
     if not (isinstance(edges, list) and isinstance(psi, list)
             and all(type(x) is int for x in (n, m, delta, *psi))):
         raise ParameterError("graph JSON needs integers n, m, delta and lists edges, psi of integers")
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
-            raise GraphError(f"edge {e!r} is not a pair of integer endpoints")
     return ColoredGraph.from_edges(n, edges, psi, m, delta)
 
 

@@ -15,8 +15,8 @@ from colorreduce import (MULTISET, SET, CapExceededError, ConstructionError,
                          lower_bound_rounds, orientation_of, refute_relaxed,
                          source_chain, sources, uncovered_clique_step,
                          uncovered_defective_node, uncovered_local1_node)
-from colorreduce.bounds import (_blocking_set, _first_uncovered, _least_owned,
-                                random_defective_classes,
+from colorreduce.bounds import (_blocking_set, _center_defect, _cover, _first_uncovered,
+                                _least_owned, _member_sets, random_defective_classes,
                                 random_independent_sets, random_relaxed_class)
 from colorreduce.nbhd import mutual_edge
 from conftest import run_python
@@ -632,6 +632,114 @@ def test_uncovered_defective_rejects_overdefective_class():
 def test_uncovered_defective_preconditions():
     with pytest.raises(ParameterError):
         uncovered_defective_node([[]], 10, 4, 1)  # m below 2*delta^2
+
+
+def center_defect_oracle(cls):
+    """For each member, the distinct centers of the other members adjacent
+    to it under the edge rule; the largest such count."""
+    return max((len({v.inner for v in cls if v is not u and mutual_edge(u, v)}) for u in cls),
+               default=0)
+
+
+def random_one_round_classes(kind, count, seed):
+    """Lists of one-round vertices over [5] of `kind`, none listing its own
+    center, with repeated members and (multiset) repeated children."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        cls = []
+        for _ in range(rng.randrange(0, 9)):
+            x = rng.randrange(1, 6)
+            others = [y for y in range(1, 6) if y != x]
+            children = rng.sample(others, rng.randrange(0, 4))
+            if kind == MULTISET and children:
+                children += rng.choices(children, k=rng.randrange(0, 2))
+            cls.append(node(kind, x, children))
+        if cls:
+            cls += rng.choices(cls, k=rng.randrange(0, 2))
+        out.append(cls)
+    return out
+
+
+@pytest.mark.parametrize("kind", [MULTISET, SET])
+def test_center_defect_matches_the_pairwise_oracle(kind):
+    seen = set()
+    for cls in random_one_round_classes(kind, 600, seed=len(kind)):
+        cover = _cover(cls, 5)
+        want = center_defect_oracle(cls)
+        assert _center_defect(cover, _member_sets(cls)) == want, cls
+        # each center as one member holding its cover decides "<= 0"
+        assert (_center_defect(cover) == 0) == (want == 0), cls
+        seen.add(want)
+    assert len(seen) >= 4
+
+
+def test_defective_refuter_takes_twin_neighbors_at_one_center():
+    # induced degree 2 (the member at 1 meets both members at 2), but one
+    # center: the refuter used to refuse this class at d = 1
+    cls = [node(MULTISET, 1, [2]), node(MULTISET, 2, [1, 3]), node(MULTISET, 2, [1, 4])]
+    assert class_defect(cls) == 2
+    assert uncovered_defective_node([cls], 32, 4, 1) is node(MULTISET, 1, [2, 3])
+    with pytest.raises(ParameterError, match="more than d=0 distinct centers"):
+        uncovered_defective_node([cls], 32, 4, 0)
+
+
+def twin_heavy_class(m, delta, d, own, rng):
+    """A class of center defect <= d and induced degree > d: (x, {y})
+    meets d+1 members centered at y.  Each color o of `own`, inside the
+    refuter's clique T = [1, delta/2 + 1], gets the member (o, T - {o}),
+    so the class owns o as a T-source.  Random members near the low
+    colors follow while they keep the center defect at most d."""
+    t = set(range(1, delta // 2 + 2))
+    x, y = rng.sample(range(delta // 2 + 2, 2 * delta + 1), 2)
+    extra = rng.sample([z for z in range(delta // 2 + 2, m + 1) if z not in (x, y)], d + 1)
+    members = [(x, {y})] + [(y, {x, z}) for z in extra] + [(o, t - {o}) for o in own]
+    low = range(1, min(m, 3 * delta) + 1)
+    for _ in range(6 * delta):
+        c = rng.choice(low)
+        a = set(rng.sample([z for z in low if z != c], rng.randrange(0, delta + 1)))
+        cover = {}
+        for center, children in members + [(c, a)]:
+            cover.setdefault(center, set()).update(children)
+        if all(sum(center in cover.get(z, ()) for z in children) <= d
+               for center, children in members + [(c, a)]):
+            members.append((c, a))
+    return [node(MULTISET, center, sorted(children)) for center, children in members]
+
+
+def test_defective_refuter_takes_classes_of_low_center_defect():
+    # the classes own T's colors round robin, at most d+1 each; where
+    # c(d+1) >= |T| every color of T is owned and the pick needs blocking
+    rng = random.Random(30)
+    refuted = blocked = 0
+    for delta, d in ((4, 1), (5, 1), (6, 1), (6, 2), (8, 1), (8, 2)):
+        m = 2 * delta * delta
+        count = delta * delta // (4 * (d + 1) ** 2)
+        t = range(1, delta // 2 + 2)
+        for _ in range(30 // count + 1):
+            classes = [twin_heavy_class(m, delta, d, [o for o in t if (o - 1) % count == k][:d + 1],
+                                        rng) for k in range(count)]
+            for cls in classes:
+                assert class_defect(cls) > d >= center_defect_oracle(cls)
+            out = uncovered_defective_node(classes, m, delta, d)
+            assert all(out is not member for cls in classes for member in cls)
+            refuted += count
+            if count * (d + 1) >= len(t):
+                assert out.child_size > len(t) - 1
+                blocked += 1
+    assert refuted >= 100 and blocked >= 20
+
+
+@pytest.mark.parametrize("call", [
+    lambda cls: orientation_of(cls, 7),
+    lambda cls: defective_sources(cls, 7, 1),
+    lambda cls: uncovered_local1_node([cls], 7, 4),
+    lambda cls: uncovered_defective_node([cls], 32, 4, 1),
+], ids=["orientation", "defective-sources", "local1", "defective"])
+def test_one_round_code_refuses_a_member_listing_its_center(call):
+    cls = [node(MULTISET, 3, [2]), node(MULTISET, 1, [1, 2])]
+    with pytest.raises(ParameterError, match=r"centered at \[1\] list their own center"):
+        call(cls)
 
 
 # --- headline arithmetic ------------------------------------------------------

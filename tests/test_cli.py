@@ -71,6 +71,49 @@ def test_missing_instance_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("algo,m,delta", [("linial1", 1000, 4), ("kw", 20, 3)])
+def test_color_linial1_and_kw_succeed(algo, m, delta, tmp_path, capsys):
+    code, out = run_cli(["color", "--algo", algo, "--m", str(m), "--delta", str(delta),
+                         "--n", "30", "--seed", "3", "--out", str(tmp_path)], capsys)
+    assert code == 0 and out["proper"] is True and out["palette"] < m
+    assert (tmp_path / "assignment.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["color", "--algo", "delta1", "--m", "5", "--delta", "4", "--n", "5"],
+                 id="delta1-palette-below-delta-plus-2"),
+    pytest.param(["simulate", "--algo", "full-info", "--m", "6", "--delta", "3", "--n", "5"],
+                 id="full-info-without-rounds"),
+])
+def test_coloring_flag_mistakes_are_usage_errors(args, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_graph_file_disagreeing_with_the_flags_is_a_usage_error(tmp_path, capsys):
+    from colorreduce import graph_to_json, random_colored_tree
+    gpath = tmp_path / "instance.json"
+    gpath.write_text(json.dumps(graph_to_json(random_colored_tree(12, 3, 50, seed=4))))
+    for m, delta in (("40", "3"), ("50", "4")):
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--algo", "delta1", "--m", m, "--delta", delta,
+                  "--graph", str(gpath), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "flags say" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_out_naming_a_file_exits_1(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    code = main(["bound", "--delta", "64", "--out", str(target)])
+    err = _assert_one_error_line(code, capsys)
+    assert "cannot write run directory" in err
+    assert target.read_text() == "keep\n"
+
+
 def test_chi_subcommand_k_query(tmp_path, capsys):
     code, out = run_cli(["chi", "--family", "nh1", "--m", "5", "--d", "3",
                          "--k", "2", "--out", str(tmp_path)], capsys)

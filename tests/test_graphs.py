@@ -70,6 +70,13 @@ def test_graph_invariants_enforced():
         ColoredGraph.from_edges(1, [(0, 0)], [1], 2, 2)
 
 
+@pytest.mark.parametrize("edge", [(0.5, 1), (0, 1, 2), 5, (True, 1), ("0", 1), (0, 2), (-1, 1)],
+                         ids=repr)
+def test_from_edges_names_a_malformed_edge(edge):
+    with pytest.raises(GraphError, match=r"edge .* is not a pair of integers in \[0, 2\)$"):
+        ColoredGraph.from_edges(2, [(0, 1), edge], [1, 2], 2, 1)
+
+
 @pytest.mark.parametrize("n", [2.5, "2", None, True])
 def test_from_edges_rejects_a_non_integer_node_count(n):
     with pytest.raises(ParameterError, match="need integer n"):
