@@ -13,12 +13,15 @@ testable against heuristic colorings and adversarial families alike.
 All tie-breaking follows the canonical vertex order, so counterexamples
 are reproducible.
 
-Every refuter runs one counting step.  `_first_uncovered` drops the
-classes' global sources and takes the first remaining candidates as a
-clique T; `_least_owned` picks the member of T that is a T-source for the
-fewest classes (pigeonhole); the classes that own it are then blocked.
-Both one-round refuters run this step in `_one_round_node`, the
-orientations at d = 0, on one class condition: the center defect
+Every refuter runs one counting step, on each class's form (cover,
+members).  `_first_uncovered` drops the classes' global sources and takes
+the first remaining candidates as a clique T.  `_pick_and_block` takes
+the member x of a group of T that is a group-source for the fewest
+classes (`_least_owned`, pigeonhole) and blocks each class owning x with
+its first blocking set for x.  Both steps read the sources of every class
+through one test, `_source_sets`.  The one-round refuters run this step
+in `_one_round_node`, on the color covers of `_color_cover` (the
+orientation heads at d = 0), under one class condition: the center defect
 (`_center_defect`), the most distinct centers among the members adjacent
 to one member, is at most d; at d = 0 that is independence.  It caps the
 (d, W)-sources of a class inside a clique W of colors at d + 1: with d + 2
@@ -43,7 +46,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from operator import attrgetter
 from types import MappingProxyType
 
 from .algorithms import _iroot
@@ -100,45 +102,62 @@ def class_defect(nodes) -> int:
     return defect
 
 
-_color = attrgetter("base_color")
-
-
-def _cover(class_nodes, m=None) -> dict:
+def _cover(class_nodes) -> dict:
     """Center -> union of the distinct children of the members centered
-    there, both read as colors in [1, m] when m is given (level-1 code
-    compares colors, not views, so its members must be one-round vertices
-    of some host: none lists its own center)."""
+    there, as views."""
     cover: dict = {}
     for node in class_nodes:
-        x, children = node.inner, node.child_lookup
-        if m is not None:
-            if node.depth != 1:
-                raise ParameterError(f"class member {node!r} is not a one-round vertex")
-            x, children = _color(x), map(_color, children)
-        cover.setdefault(x, set()).update(children)
-    if m is not None:
-        outside = set(cover).union(*cover.values()).difference(range(1, m + 1))
-        if outside:
-            raise ParameterError(f"class member colors {sorted(outside)} lie outside [1, {m}]")
-        own = sorted(x for x, ys in cover.items() if x in ys)
-        if own:
-            raise ParameterError(f"class members centered at {own} list their own center")
+        cover.setdefault(node.inner, set()).update(node.child_lookup)
     return cover
 
 
-def _member_sets(class_nodes) -> dict:
-    """Center color -> the neighbor-color sets of the class members
-    centered there (members already checked by `_cover` with m)."""
-    out: dict = {}
-    for node in class_nodes:
-        out.setdefault(node.inner.base_color, []).append(set(map(_color, node.child_lookup)))
-    return out
+def _color_cover(class_nodes, m: int, d: int = 0):
+    """A class of one-round vertices read as colors: (cover, members).
+
+    `cover` is `_cover` with every view replaced by its color, which must
+    lie in [1, m]; leaves of either kind with one color are one color.
+    Each distinct leaf is read once.  `members` (None at d = 0, where only
+    singletons are tested) maps a center color to the neighbor-color sets
+    of the members centered there.  At d = 0 the cover is read off the
+    view cover, whose distinct (center, child) pairs are far fewer than
+    the children of a class of a host; at d >= 1, where every member is
+    read anyway, it is the union of the member sets.  Level-1 code
+    compares colors, not views, so the members must be one-round
+    vertices of some host: none lists its own center."""
+    class_nodes = list(class_nodes)
+    if d:
+        leaves = {node.inner for node in class_nodes}.union(
+            *[node.child_lookup for node in class_nodes])
+    else:
+        views = _cover(class_nodes)
+        leaves = set(views).union(*views.values())
+    if None in leaves or any(v.depth for v in leaves):
+        bad = next(node for node in class_nodes if node.depth != 1)
+        raise ParameterError(f"class member {bad!r} is not a one-round vertex")
+    color = {v: v.base_color for v in leaves}
+    outside = set(color.values()).difference(range(1, m + 1))
+    if outside:
+        raise ParameterError(f"class member colors {sorted(outside)} lie outside [1, {m}]")
+    get = color.__getitem__
+    if d:
+        members = {}
+        for node in class_nodes:
+            members.setdefault(get(node.inner), []).append(set(map(get, node.child_lookup)))
+        cover = {x: set().union(*sets) for x, sets in members.items()}
+    else:
+        members, cover = None, {}
+        for x, ys in views.items():
+            cover.setdefault(get(x), set()).update(map(get, ys))
+    own = sorted(x for x, ys in cover.items() if x in ys)
+    if own:
+        raise ParameterError(f"class members centered at {own} list their own center")
+    return cover, members
 
 
 def _center_defect(cover, members=None) -> int:
     """The largest number of y in a member's A with x in cover(y): the most
     distinct centers among the members adjacent to one member (x, A).
-    With `members` (of `_member_sets`) None, each center counts as one
+    With `members` (of `_color_cover`) None, each center counts as one
     member holding cover(x); that can overcount, but decides "<= 0" exactly."""
     worst = 0
     for x, ys in cover.items():
@@ -155,7 +174,7 @@ def _blocking_set(cover, x, within, d=0, members=None):
     class member centered at x contains, as a tuple; None iff x is a
     (d, W)-source.  Singletons come first, in the order of `within`, and
     are tested against cover(x); larger B (which need the `members` map
-    of `_member_sets`) follow in combination order."""
+    of `_color_cover`) follow in combination order."""
     seen = cover.get(x, ())
     for w in within:
         if w not in seen and w != x:
@@ -168,6 +187,14 @@ def _blocking_set(cover, x, within, d=0, members=None):
                 if not any(s.issuperset(B) for s in sets):
                     return B
     return None
+
+
+def _source_sets(within, forms, d=0) -> list:
+    """The one source test: for each class, given as its form (cover,
+    members), its (d, within)-sources in the order of `within`, the x
+    there for which `_blocking_set` finds no blocking set."""
+    return [[x for x in within if _blocking_set(cover, x, within, d, sets) is None]
+            for cover, sets in forms]
 
 
 def _check_per_class(source_sets, per_class: int, what: str):
@@ -204,6 +231,27 @@ def _least_owned(group, source_sets, per_class: int):
     return group[i], owning
 
 
+def _pick_and_block(group, clique, forms, d, within):
+    """(x, A): x the `_least_owned` member of `group` among the classes'
+    (d, group)-sources, at most d+1 per class, and A the clique minus x
+    plus, for each class owning x, its first blocking set for x among
+    `within(x)`, so (x, A) lies in no class."""
+    x, owning = _least_owned(group, _source_sets(group, forms, d), d + 1)
+    a_set = set(clique) - {x}
+    around = within(x)
+    for k in owning:
+        cover, sets = forms[k]
+        block = _blocking_set(cover, x, around, d, sets)
+        if block is None:
+            raise ConstructionError(f"class {k} owns {x!r} but has no blocking set for it")
+        a_set.update(block)
+    return x, a_set
+
+
+def _is_clique(views) -> bool:
+    return all(mutual_edge(u, v) for u, v in combinations(views, 2))
+
+
 # --- orientations (one-round machinery) ----------------------------------
 
 @dataclass(frozen=True)
@@ -225,7 +273,7 @@ class Orientation:
 
 
 def orientation_of(class_nodes, m: int) -> Orientation:
-    cover = _cover(class_nodes, m)
+    cover, _ = _color_cover(class_nodes, m)
     if _center_defect(cover):
         raise ParameterError("class demands both directions on a pair: not an independent set")
     heads = {
@@ -236,44 +284,34 @@ def orientation_of(class_nodes, m: int) -> Orientation:
     return Orientation(m, MappingProxyType(heads))
 
 
-def _one_round_node(classes, kind, m: int, delta: int, d: int, covers, members) -> View:
+def _one_round_node(classes, kind, m: int, delta: int, d: int, forms) -> View:
     """The counting step on colors that both one-round refuters run.
 
-    Class k's (d, W)-sources are the colors x for which
-    `_blocking_set(covers[k], x, W, d, members[k])` finds no blocking set;
+    Class k's (d, W)-sources are the colors x for which `_blocking_set`
+    finds no blocking set on its form forms[k] = (cover, members);
     inside any clique of colors there are at most d+1 of them (on the
     orientation heads, a tournament, at most one: a second source y would
     need x in heads(y) and y in heads(x)).  T is the first floor(delta/2)+1
-    colors that are no class's global source, x the member of T owned as a
-    T-source by the fewest classes, and A is T\\{x} plus the first blocking
-    set over all colors of each owning class, so (x, A) lies in none of
-    them.  |A| stays strictly below delta.  The result has the members'
-    view kind unless `kind` is given (multiset when the classes are empty).
+    colors that are no class's global source; `_pick_and_block` gives x,
+    the member of T owned as a T-source by the fewest classes, and A,
+    T\\{x} plus the first blocking set over all colors of each owning
+    class, so (x, A) lies in none of them.  |A| stays strictly below
+    delta.  The result has the members' view kind unless `kind` is given
+    (multiset when the classes are empty).
     """
-    colors, c = range(1, m + 1), len(classes)
+    colors = range(1, m + 1)
     if kind is None:
         kind = next((member.kind for cl in classes for member in cl), MULTISET)
-
-    def source_sets(within):
-        return [[x for x in within if _blocking_set(cover, x, within, d, sets) is None]
-                for cover, sets in zip(covers, members)]
-
-    T = _first_uncovered(colors, source_sets(colors), delta // 2 + 1, d + 1)
-    x, owning = _least_owned(T, source_sets(T), d + 1)
-    a_set = set(T) - {x}
-    for k in owning:
-        block = _blocking_set(covers[k], x, colors, d, members[k])
-        if block is None:
-            raise ConstructionError(f"class {k}: no blocker although {x} is not a global source")
-        a_set.update(block)
+    T = _first_uncovered(colors, _source_sets(colors, forms, d), delta // 2 + 1, d + 1)
+    x, a_set = _pick_and_block(T, T, forms, d, lambda _: colors)
     if len(a_set) >= delta:
         raise ConstructionError("constructed neighbor set reached delta; size bound failed")
 
     node = View.make(kind, View.leaf(kind, x),
                      (View.leaf(kind, y) for y in sorted(a_set)))
     # independent re-verification, off the construction path
-    for k in range(c):
-        if _blocking_set(covers[k], x, a_set, d, members[k]) is None:
+    for k, (cover, sets) in enumerate(forms):
+        if _blocking_set(cover, x, a_set, d, sets) is None:
             raise ConstructionError(f"result is covered by class {k}")
         if any(node is member for member in classes[k]):
             raise ConstructionError(f"result is a member of class {k}")
@@ -293,14 +331,16 @@ def uncovered_local1_node(classes, m: int, delta: int, kind=None) -> View:
     into x.
     """
     _need_ints(m=m, delta=delta)
+    if delta < 1:
+        raise ParameterError(f"need delta >= 1, got delta={delta}")
     classes = [list(cl) for cl in classes]
     c = len(classes)
     if 4 * c > delta * delta:
         raise ParameterError(f"need c <= delta^2/4, got c={c}, delta={delta}")
     if 4 * m < delta * delta + 2 * delta + 4:
         raise ParameterError(f"need m >= delta^2/4 + delta/2 + 1, got m={m}, delta={delta}")
-    heads = [orientation_of(cl, m).heads for cl in classes]
-    return _one_round_node(classes, kind, m, delta, 0, heads, [None] * c)
+    forms = [(orientation_of(cl, m).heads, None) for cl in classes]
+    return _one_round_node(classes, kind, m, delta, 0, forms)
 
 
 # --- recursive sources and chains ----------------------------------------
@@ -349,50 +389,34 @@ def uncovered_clique_step(T, next_class_sets, level_graph: NbhdGraph,
     """From an uncovered clique of size p+d one level down, build an
     uncovered clique of size p, provided p + d - 1 + c/d <= bound.
 
-    Center j is `_least_owned` of a fresh d-subset: the vertex that is a
-    subset-source for the fewest classes (at most one per class inside a
-    clique; at most c/d for the chosen vertex).  Its neighbor set is the
+    Center j is `_pick_and_block` on a fresh d-subset: the vertex that is
+    a subset-source for the fewest classes (at most one per class inside
+    a clique; at most c/d for the chosen vertex).  Its neighbor set is the
     rest of the clique plus one blocking witness (`_blocking_set` over
     its neighborhood) per class that owns it.
     """
     _need_ints(p=p, d=d, bound=bound)
+    if d < 1 or p < 0:
+        raise ParameterError(f"need d >= 1 and p >= 0, got d={d}, p={p}")
     T = sorted(T, key=canonical_encode)
     c = len(next_class_sets)
     if len(T) != p + d:
         raise ParameterError(f"clique size {len(T)} != p+d = {p + d}")
     if d * (p + d - 1) + c > d * bound:
         raise ParameterError("size condition p+d-1+c/d <= bound violated")
-    for i, u in enumerate(T):
-        for v in T[i + 1 :]:
-            if not mutual_edge(u, v):
-                raise ParameterError("input vertices do not form a clique")
+    if not _is_clique(T):
+        raise ParameterError("input vertices do not form a clique")
     if here_class_sets is not None:
         for k, s in enumerate(here_class_sets):
             if any(t in s for t in T):
                 raise ParameterError(f"input clique intersects class {k}: not uncolored")
 
-    covers = [_cover(cls) for cls in next_class_sets]
+    forms = [(_cover(cls), None) for cls in next_class_sets]
     remaining = list(T)
-    picks = []
-    for _ in range(p):
-        group = remaining[:d]
-        t_j, owning = _least_owned(
-            group, [[x for x in group if _blocking_set(cover, x, group) is None]
-                    for cover in covers], 1)
-        picks.append((t_j, owning))
-        remaining.remove(t_j)
-
     out = []
-    for t_j, owning in picks:
-        a_set = set(T) - {t_j}
-        neighborhood = level_graph.neighbor_views(t_j)
-        for k in owning:
-            block = _blocking_set(covers[k], t_j, neighborhood)
-            if block is None:
-                raise ConstructionError(
-                    f"class {k}: no blocking witness although center is uncolored below"
-                )
-            a_set.update(block)
+    for _ in range(p):
+        t_j, a_set = _pick_and_block(remaining[:d], T, forms, 0, level_graph.neighbor_views)
+        remaining.remove(t_j)
         if len(a_set) > bound:
             raise ConstructionError("neighbor set exceeded the bound; arithmetic failed")
         node = View.make(SET, t_j, a_set)
@@ -400,11 +424,8 @@ def uncovered_clique_step(T, next_class_sets, level_graph: NbhdGraph,
             if node in s:
                 raise ConstructionError(f"constructed vertex lies in class {k}")
         out.append(node)
-
-    for i, u in enumerate(out):
-        for v in out[i + 1 :]:
-            if not mutual_edge(u, v):
-                raise ConstructionError("output vertices do not form a clique")
+    if not _is_clique(out):
+        raise ConstructionError("output vertices do not form a clique")
     return out
 
 
@@ -479,9 +500,7 @@ def defective_sources(class_nodes, m: int, d: int, within=None) -> list[int]:
     if outside:
         raise ParameterError(f"within colors {outside} are not integers in [1, {m}]")
     within = sorted(set(within))
-    cover = _cover(class_nodes, m)
-    members = _member_sets(class_nodes) if d else None
-    return [x for x in within if _blocking_set(cover, x, within, d, members) is None]
+    return _source_sets(within, [_color_cover(class_nodes, m, d)], d)[0]
 
 
 def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> View:
@@ -501,6 +520,8 @@ def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> 
     owning class is blocked by its first blocking set, of size <= d+1.
     """
     _need_ints(m=m, delta=delta, d=d)
+    if delta < 1:
+        raise ParameterError(f"need delta >= 1, got delta={delta}")
     classes = [list(cl) for cl in classes]
     c = len(classes)
     if d < 0:
@@ -509,14 +530,13 @@ def uncovered_defective_node(classes, m: int, delta: int, d: int, kind=None) -> 
         raise ParameterError(f"need c <= delta^2/(4(d+1)^2), got c={c}")
     if m < 2 * delta * delta:
         raise ParameterError(f"need m >= 2*delta^2 = {2 * delta * delta}, got m={m}")
-    covers = [_cover(cl, m) for cl in classes]
     # only blocking sets of two or more colors read the members; at d = 0
     # the cover alone decides the center defect
-    members = [_member_sets(cl) if d else None for cl in classes]
-    for k, (cover, sets) in enumerate(zip(covers, members)):
+    forms = [_color_cover(cl, m, d) for cl in classes]
+    for k, (cover, sets) in enumerate(forms):
         if _center_defect(cover, sets) > d:
             raise ParameterError(f"class {k} has a member meeting more than d={d} distinct centers")
-    return _one_round_node(classes, kind, m, delta, d, covers, members)
+    return _one_round_node(classes, kind, m, delta, d, forms)
 
 
 # --- headline parameter arithmetic ----------------------------------------

@@ -128,6 +128,8 @@ def _bipartition(adj: _Rows) -> list[int] | None:
 
 class _Budget:
     def __init__(self, limit):
+        if type(limit) is not int or limit < 0:
+            raise ParameterError(f"budget must be an integer >= 0, got {limit!r}")
         self.limit = limit
         self.used = 0
 
@@ -251,7 +253,7 @@ def _decide_k(adj, k: int, budget: _Budget):
 def is_k_colorable(g, k: int, budget: int = 1_000_000):
     """Three-valued: ("yes", witness) with a validating coloring, ("no",
     None) after exhaustive search, or ("unknown", None) on budget
-    exhaustion."""
+    exhaustion.  The budget (expansions) must be an int >= 0."""
     if type(k) is not int or k < 1:
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
     return _decide_k(as_adjacency(g), k, _Budget(budget))
@@ -267,14 +269,15 @@ def _check_witness(adj, colors, k):
 
 
 def chi_exact(g, budget: int = 1_000_000) -> ChiResult:
-    """Exact chromatic number when the expansion budget suffices,
-    otherwise the best (clique, saturation-greedy) bracket reached."""
+    """Exact chromatic number when the expansion budget (an int >= 0)
+    suffices, otherwise the best (clique, saturation-greedy) bracket
+    reached."""
+    tracker = _Budget(budget)
     adj = as_adjacency(g)
     if not adj:
         return ChiResult(0, 0, True, tuple(), 0)
     witness, upper = dsatur(adj)
     best_witness = tuple(witness)
-    tracker = _Budget(budget)
     # plain rows are checked once: the bound reads their checked copy
     k = max(clique_lower_bound(g if isinstance(g, NbhdGraph) else adj), 1)
     # an "unknown" leaves the tracker overspent, which ends the loop

@@ -193,9 +193,14 @@ class ColorAssignment:
         return self.colors[v]
 
 
-def _check_coverage(g: ColoredGraph, phi: ColorAssignment):
+def _check_assignment(g: ColoredGraph, phi: ColorAssignment):
+    """CoverageError unless phi covers every node of g, and
+    PaletteMismatchError unless every color lies in [1, phi.palette]."""
     if len(phi.colors) != g.n:
         raise CoverageError(f"assignment covers {len(phi.colors)} nodes, graph has {g.n}")
+    for v, c in enumerate(phi.colors):
+        if not 1 <= c <= phi.palette:
+            raise PaletteMismatchError(f"color {c} of node {v} outside [1, {phi.palette}]")
 
 
 def validate_proper(g: ColoredGraph, phi: ColorAssignment) -> bool:
@@ -205,10 +210,7 @@ def validate_proper(g: ColoredGraph, phi: ColorAssignment) -> bool:
     (a different failure than an improper coloring) and CoverageError when
     phi does not cover every node.
     """
-    _check_coverage(g, phi)
-    for v, c in enumerate(phi.colors):
-        if not 1 <= c <= phi.palette:
-            raise PaletteMismatchError(f"color {c} of node {v} outside [1, {phi.palette}]")
+    _check_assignment(g, phi)
     colors = phi.colors
     for u, nbrs in enumerate(g.adjacency):
         cu = colors[u]
@@ -219,8 +221,13 @@ def validate_proper(g: ColoredGraph, phi: ColorAssignment) -> bool:
 
 
 def validate_defective(g: ColoredGraph, phi: ColorAssignment, d: int) -> bool:
-    """True iff every color class induces a subgraph of maximum degree <= d."""
-    _check_coverage(g, phi)
+    """True iff every color class induces a subgraph of maximum degree <= d.
+
+    Raises ParameterError unless d is an int >= 0, and on a bad
+    assignment what `validate_proper` raises."""
+    if type(d) is not int or d < 0:
+        raise ParameterError(f"need an integer d >= 0, got d={d!r}")
+    _check_assignment(g, phi)
     colors = phi.colors
     for u, nbrs in enumerate(g.adjacency):
         cu = colors[u]

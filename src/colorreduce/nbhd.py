@@ -74,8 +74,9 @@ An independence check keeps one set of the keys seen and stops at the
 first key whose reverse is already in it.
 
 The recursive families blow up exponentially; builders project each
-level's vertex count first and refuse to exceed an explicit cap, which
-also bounds the number of edges they wire.  The projection counts every
+level's vertex count first and refuse to exceed an explicit cap (an int
+>= 0, checked once in `_build_levels`), which also bounds the number of
+edges they wire.  The projection counts every
 collection the expansion walks, so it is exact where no filter runs
 (local1, relaxed, setlocal level 1) and an upper bound where one does
 (setlocal from level 2); typed is refused where setlocal is, by its error.
@@ -339,6 +340,8 @@ def _build_levels(family: str, r: int, m: int, d: int, cap: int,
     _need_ints(r=r, m=m, d=d)
     if r < 0 or m < 2 or d < 1:
         raise ParameterError("need r >= 0, m >= 2, d >= 1")
+    if type(cap) is not int or cap < 0:
+        raise ParameterError(f"cap must be an integer >= 0, got {cap!r}")
     levels = [_finish(family, m, d, 0, kind, _clique_vertices(m, kind), cap)]
     for _ in range(r):
         levels.append(_expand_level(levels[-1], d, cap))

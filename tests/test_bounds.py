@@ -11,12 +11,12 @@ import pytest
 from colorreduce import (MULTISET, SET, CapExceededError, ConstructionError,
                          ParameterError, View, build_local1,
                          build_relaxed_levels, canonical_encode, class_defect,
-                         defective_sources, is_independent,
+                         defective_sources, erase_multiplicities, is_independent,
                          lower_bound_rounds, orientation_of, refute_relaxed,
                          source_chain, sources, uncovered_clique_step,
                          uncovered_defective_node, uncovered_local1_node)
-from colorreduce.bounds import (_blocking_set, _center_defect, _cover, _first_uncovered,
-                                _least_owned, _member_sets, random_defective_classes,
+from colorreduce.bounds import (_blocking_set, _center_defect, _color_cover, _first_uncovered,
+                                _least_owned, random_defective_classes,
                                 random_independent_sets, random_relaxed_class)
 from colorreduce.nbhd import mutual_edge
 from conftest import run_python
@@ -284,6 +284,14 @@ def test_counting_step_refuses_more_sources_than_the_bound():
     T = [leaf(SET, c) for c in (1, 2, 3, 4)]
     with pytest.raises(ConstructionError, match="sources in a clique"):
         uncovered_clique_step(T, [both, frozenset()], levels[0], p=1, d=3, bound=4)
+
+
+@pytest.mark.parametrize("p,d", [(2, 0), (2, -1), (-1, 3)])
+def test_clique_step_refuses_d_below_one_and_negative_p(p, d):
+    levels = build_relaxed_levels(0, 5, 4)
+    T = [leaf(SET, c) for c in range(1, p + d + 1)]
+    with pytest.raises(ParameterError, match=r"need d >= 1 and p >= 0"):
+        uncovered_clique_step(T, [], levels[0], p=p, d=d, bound=4)
 
 
 @pytest.mark.parametrize("p,d,bound,named", [
@@ -665,9 +673,9 @@ def random_one_round_classes(kind, count, seed):
 def test_center_defect_matches_the_pairwise_oracle(kind):
     seen = set()
     for cls in random_one_round_classes(kind, 600, seed=len(kind)):
-        cover = _cover(cls, 5)
+        cover, members = _color_cover(cls, 5, 1)
         want = center_defect_oracle(cls)
-        assert _center_defect(cover, _member_sets(cls)) == want, cls
+        assert _center_defect(cover, members) == want, cls
         # each center as one member holding its cover decides "<= 0"
         assert (_center_defect(cover) == 0) == (want == 0), cls
         seen.add(want)
@@ -740,6 +748,57 @@ def test_one_round_code_refuses_a_member_listing_its_center(call):
     cls = [node(MULTISET, 3, [2]), node(MULTISET, 1, [1, 2])]
     with pytest.raises(ParameterError, match=r"centered at \[1\] list their own center"):
         call(cls)
+
+
+@pytest.mark.parametrize("delta", [0, -1, -2])
+def test_one_round_refuters_refuse_delta_below_one(delta):
+    with pytest.raises(ParameterError, match=f"need delta >= 1, got delta={delta}"):
+        uncovered_local1_node([], 7, delta)
+    with pytest.raises(ParameterError, match=f"need delta >= 1, got delta={delta}"):
+        uncovered_defective_node([], 7, delta, 0)
+
+
+def test_one_round_refuters_take_delta_one():
+    # floor(1/2) + 1 = 1 color in T and no blocking: (1, {})
+    assert uncovered_local1_node([], 7, 1) is node(MULTISET, 1, [])
+    assert uncovered_defective_node([], 7, 1, 0) is node(MULTISET, 1, [])
+    assert uncovered_local1_node([], 7, 1, kind=SET) is node(SET, 1, [])
+
+
+def half_erased(classes):
+    """Each class with every other member, from its second on, turned
+    into the set vertex with the same colors: mixed SET/MULTISET classes
+    whose first members keep the kind the refuters infer."""
+    return [[erase_multiplicities(u) if i % 2 else u for i, u in enumerate(cls)]
+            for cls in classes]
+
+
+def test_one_round_code_merges_leaves_of_both_kinds_by_color(host_7_4):
+    families = 0
+    for delta, d, seeds in ((4, 0, 2), (4, 1, 2), (5, 1, 3), (6, 1, 3)):
+        m = 2 * delta * delta
+        count = delta * delta // (4 * (d + 1) ** 2)
+        for seed in range(seeds):
+            classes = random_defective_classes(m, delta, d, count, seed)
+            mixed = half_erased(classes)
+            assert {u.kind for cls in mixed for u in cls} == {SET, MULTISET}
+            assert (uncovered_defective_node(mixed, m, delta, d)
+                    is uncovered_defective_node(classes, m, delta, d))
+            for cls, both in zip(classes, mixed):
+                assert defective_sources(both, m, d) == defective_sources(cls, m, d)
+                # each member's own colors, where its center is a source
+                # only if no member at that center is lost
+                for u in cls[:40]:
+                    within = [u.inner.base_color, *(y.base_color for y in u.child_lookup)]
+                    assert (defective_sources(both, m, d, within)
+                            == defective_sources(cls, m, d, within))
+            families += 1
+    for seed in range(5):
+        classes = random_independent_sets(host_7_4, 4, seed)
+        mixed = half_erased(sorted(cls, key=canonical_encode) for cls in classes)
+        assert uncovered_local1_node(mixed, 7, 4) is uncovered_local1_node(classes, 7, 4)
+        families += 1
+    assert families == 15
 
 
 # --- headline arithmetic ------------------------------------------------------

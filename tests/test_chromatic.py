@@ -431,6 +431,17 @@ def test_budget_exhaustion_returns_bracket():
     assert res.lower <= res.upper
 
 
+@pytest.mark.parametrize("budget", [1.5, True, -5, "x", None])
+def test_budgets_must_be_ints_at_least_zero(budget):
+    host = build_local1(5, 3, MULTISET)
+    with pytest.raises(ParameterError, match="budget must be an integer >= 0"):
+        chi_exact(host, budget=budget)
+    with pytest.raises(ParameterError, match="budget must be an integer >= 0"):
+        chi_exact([], budget=budget)
+    with pytest.raises(ParameterError, match="budget must be an integer >= 0"):
+        is_k_colorable(host, 3, budget=budget)
+
+
 def test_is_k_colorable_parameter_error():
     for k in (0, 2.5, "3"):
         with pytest.raises(ParameterError):

@@ -184,6 +184,17 @@ def test_refute_domain_failure_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_refute_with_delta_zero_exits_1(tmp_path, capsys):
+    # a degenerate delta used to reach the refuter's ConstructionError
+    classes_file = tmp_path / "classes.json"
+    classes_file.write_text("[]")
+    code = main(["refute", "--family", "nh1", "--m", "7", "--d", "0",
+                 "--classes", str(classes_file), "--out", str(tmp_path / "run")])
+    err = _assert_one_error_line(code, capsys)
+    assert "need delta >= 1" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("classes", ["missing.json", "classes.json"])
 def test_refute_unsupported_family_is_a_usage_error(classes, tmp_path, capsys):
     # the family is checked before the classes file is read

@@ -45,6 +45,21 @@ def test_validate_defective_examples():
     assert validate_defective(star4(), ColorAssignment((1, 1, 1, 1, 1), 1), 4) is True
 
 
+@pytest.mark.parametrize("colors", [(1, 5, 1), (0, 1, 0)])
+def test_validate_defective_checks_the_palette(colors):
+    for d in (0, 1):
+        with pytest.raises(PaletteMismatchError):
+            validate_defective(path3(), ColorAssignment(colors, 2), d)
+    with pytest.raises(CoverageError):
+        validate_defective(path3(), ColorAssignment((1, 2), 2), 0)
+
+
+@pytest.mark.parametrize("d", [1.5, -1, True, "1"])
+def test_validate_defective_needs_an_int_d_at_least_zero(d):
+    with pytest.raises(ParameterError, match="need an integer d >= 0"):
+        validate_defective(path3(), ColorAssignment((1, 2, 1), 2), d)
+
+
 def test_proper_is_zero_defective_on_random_instances():
     agree = 0
     for seed in range(1000):

@@ -122,6 +122,20 @@ def test_local1_cap_exceeded_names_projection():
     assert err.value.projected > 1000
 
 
+@pytest.mark.parametrize("cap", [1.5, -1, True, "9"])
+@pytest.mark.parametrize("build", [
+    lambda cap: build_local1(4, 2, MULTISET, cap=cap),
+    lambda cap: build_setlocal(1, 3, 2, cap=cap),
+    lambda cap: build_relaxed_levels(0, 3, 2, cap=cap),
+    lambda cap: build_typed(1, 3, 2, cap=cap),
+    lambda cap: typed_to_setlocal_hom(1, 3, 2, cap=cap),
+    lambda cap: relaxed_to_typed_hom(1, 3, 2, cap=cap),
+], ids=["local1", "setlocal", "relaxed", "typed", "typed->setlocal", "relaxed->typed"])
+def test_caps_must_be_ints_at_least_zero(build, cap):
+    with pytest.raises(ParameterError, match="cap must be an integer >= 0"):
+        build(cap)
+
+
 def test_relaxed_and_typed_base_cases():
     for build in (build_relaxed, build_typed):
         g = build(0, 4, 2)
