@@ -42,7 +42,6 @@ cover completed low -> high on the pairs the class leaves undemanded.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -50,6 +49,7 @@ from types import MappingProxyType
 
 from .algorithms import _iroot
 from .errors import ConstructionError, ParameterError, _need_ints
+from .graphs import _below, _sample, _seeded, _shuffle
 from .nbhd import DEFAULT_CAP, NbhdGraph, build_relaxed_levels, mutual_edge
 from .views import MULTISET, SET, View, canonical_encode
 
@@ -596,7 +596,7 @@ def random_independent_sets(graph: NbhdGraph, count: int, seed: int) -> list[fro
     _need_ints(count=count)
     if count < 0:
         raise ParameterError(f"need count >= 0, got {count}")
-    rng = random.Random(seed)
+    bits = _seeded(seed)
     out = []
     n, rows = graph.n_vertices, graph.adjacency
     # multiset false twins share one row object (nbhd._wire), so a row
@@ -604,7 +604,7 @@ def random_independent_sets(graph: NbhdGraph, count: int, seed: int) -> list[fro
     twins = graph.variant == MULTISET
     for _ in range(count):
         order = list(range(n))
-        rng.shuffle(order)
+        _shuffle(bits, order)
         blocked = set()
         chosen = []
         met = set()
@@ -618,7 +618,7 @@ def random_independent_sets(graph: NbhdGraph, count: int, seed: int) -> list[fro
                     continue
                 met.add(id(row))
             blocked.update(row)
-        out.append(frozenset(graph.vertices[i] for i in chosen))
+        out.append(frozenset(map(graph.vertices.__getitem__, chosen)))
     return out
 
 
@@ -634,25 +634,26 @@ def random_defective_classes(m: int, delta: int, d: int, count: int,
     if m < 1 or min(delta, d, count) < 0:
         raise ParameterError(f"need m >= 1 and delta, d, count >= 0, got m={m}, "
                              f"delta={delta}, d={d}, count={count}")
-    rng = random.Random(seed)
+    bits = _seeded(seed)
     leaves = {c: View.leaf(MULTISET, c) for c in range(1, m + 1)}
+    others = range(1, m)
     out = []
     for _ in range(count):
         members: list[View] = []
         by_center: dict[int, list[tuple]] = {}
         degrees: dict[tuple, int] = {}
         for _ in range(4 * m):
-            x = rng.randrange(1, m + 1)
-            size = rng.randrange(0, delta + 1)
+            x = 1 + _below(bits, m)
+            size = _below(bits, delta + 1)
             # the same draws as sampling the list of the colors other than x
-            a = frozenset(y + (y >= x) for y in rng.sample(range(1, m), min(size, m - 1)))
+            a = frozenset(y + (y >= x) for y in _sample(bits, others, min(size, m - 1)))
             key = (x, a)
             if key in degrees:
                 continue
             touching = [u for y in a for u in by_center.get(y, ()) if x in u[1]]
             if len(touching) > d or any(degrees[u] + 1 > d for u in touching):
                 continue
-            members.append(View.make(MULTISET, leaves[x], (leaves[y] for y in a)))
+            members.append(View.make(MULTISET, leaves[x], map(leaves.__getitem__, a)))
             by_center.setdefault(x, []).append(key)
             degrees[key] = len(touching)
             for u in touching:
@@ -670,18 +671,21 @@ def random_relaxed_class(levels, size: int, seed: int, bound: int) -> frozenset[
         raise ParameterError(f"need size, bound >= 0, got size={size}, bound={bound}")
     if not levels:
         raise ParameterError("need at least one built level")
-    rng = random.Random(seed)
     top = levels[-1]
+    if not top.n_vertices:
+        raise ParameterError("need a top level with at least one vertex")
+    bits = _seeded(seed)
+    vertices, rows = top.vertices, top.adjacency
     chosen: set[View] = set()
     keys: set = set()
     for _ in range(size * 8):
         if len(chosen) >= size:
             break
-        i = rng.randrange(top.n_vertices)
-        x = top.vertices[i]
-        nbrs = [top.vertices[j] for j in top.adjacency[i]]
-        k = rng.randrange(0, min(bound, len(nbrs)) + 1)
-        node = View.make(SET, x, rng.sample(nbrs, k))
+        i = _below(bits, top.n_vertices)
+        x, row = vertices[i], rows[i]
+        # sampling the row's indices draws what sampling its views would
+        k = _below(bits, min(bound, len(row)) + 1)
+        node = View.make(SET, x, map(vertices.__getitem__, _sample(bits, row, k)))
         # node = (x, A) publishes (x, y) for y in A; a repeated draw is
         # either rejected here or adds nothing to the set
         if any((y, x) in keys for y in node.child_lookup):

@@ -9,11 +9,18 @@ value (_Rows): one check serves every graph, and the chromatic solver's
 rank space is cached on the rows, so it lives as long as the graph.
 Colors are 1-based; palette bounds are explicit so that "color out of
 palette" and "coloring not proper" stay distinguishable failures.
+
+The seeded generators, random_colored_tree here and the class generators
+of bounds, take an int seed and draw through the helpers _seeded, _below,
+_shuffle and _sample: random.Random(seed).getrandbits read by
+random.Random's own algorithms, without the argument handling of
+randrange, shuffle and sample.  A seed gives the draws it gives there.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -249,16 +256,91 @@ def greedy_coloring(g: ColoredGraph) -> ColorAssignment:
     return ColorAssignment(tuple(colors), max(colors))
 
 
+# --- seeded draws (see the module docstring) ---------------------------------
+# The Mersenne Twister, its seeding and the order in which bits are read
+# are random.Random's; the tests pin each helper against its method.
+
+def _seeded(seed):
+    """The bit source of random.Random(seed): its getrandbits.  The seed
+    must be an int (bool is not), else ParameterError: None would seed
+    from the clock, and floats and strs are hashed."""
+    _need_ints(seed=seed)
+    return random.Random(seed).getrandbits
+
+
+def _below(bits, n):
+    """Random._randbelow(n): uniform over [0, n), by rejection on
+    n.bit_length() bits.  ValueError for n < 1, where every draw is
+    rejected (getrandbits(0) is always 0)."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        if n < 1:  # checked only on a rejection, so accepted draws pay nothing
+            raise ValueError(f"need n >= 1, got n={n}")
+        r = bits(k)
+    return r
+
+
+def _shuffle(bits, x):
+    """Random.shuffle(x): x shuffled in place.  Each draw is _below's,
+    written out in the loop, where a call would cost about as much as
+    the draw."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _sample(bits, population, k):
+    """Random.sample(population, k): k distinct items of the sequence
+    population, in selection order.  Like random.Random, it tracks the
+    unselected items in a pool list when that is smaller than a k-item
+    set, and the selected positions in a set otherwise.  Each draw is
+    _below's, written out in the loop.  ValueError unless
+    0 <= k <= len(population)."""
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= {n}, got k={k}")
+    setsize = 21  # a small set's size minus an empty list's, as in random
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for i in range(n, n - k, -1):
+            width = i.bit_length()
+            j = bits(width)
+            while j >= i:
+                j = bits(width)
+            result.append(pool[j])
+            pool[j] = pool[i - 1]
+        return result
+    # a draw is rejected when it is out of range or already selected,
+    # which reads the bits that random's nested loops read
+    width = n.bit_length()
+    selected = set()
+    for _ in range(k):
+        j = bits(width)
+        while j >= n or j in selected:
+            j = bits(width)
+        selected.add(j)
+        result.append(population[j])
+    return result
+
+
 def random_colored_tree(n: int, delta_cap: int, m: int, seed: int) -> ColoredGraph:
     """Seeded random tree with max degree <= delta_cap and a proper m-coloring.
 
     Each new node attaches to a uniformly random earlier node that still
     has degree capacity, which caps the degree without rejection sampling.
-    Identical arguments always produce the identical graph.  The earlier
-    nodes with capacity are kept as an ascending list updated per node;
-    every new node joins it, since its degree 1 is below delta_cap >= 2.
-    A node's row starts with its parent, and its children join it in the
-    order they are made, so every row is sorted as it is built.
+    Identical arguments always produce the identical graph; the seed must
+    be an int.  The earlier nodes with capacity are kept as an ascending
+    list updated per node; every new node joins it, since its degree 1 is
+    below delta_cap >= 2.  A node's row starts with its parent, and its
+    children join it in the order they are made, so every row is sorted
+    as it is built.
     """
     _need_ints(n=n, delta_cap=delta_cap, m=m)
     if m < 2:
@@ -267,11 +349,11 @@ def random_colored_tree(n: int, delta_cap: int, m: int, seed: int) -> ColoredGra
         raise ParameterError("need n >= 1")
     if delta_cap < 2:
         raise ParameterError("need delta_cap >= 2")
-    rng = random.Random(seed)
+    bits = _seeded(seed)
     rows = [[] for _ in range(n)]
     candidates = [0]
     for v in range(1, n):
-        i = rng.randrange(len(candidates))
+        i = _below(bits, len(candidates))
         p = candidates[i]
         rows[p].append(v)
         if len(rows[p]) == delta_cap:
@@ -279,10 +361,10 @@ def random_colored_tree(n: int, delta_cap: int, m: int, seed: int) -> ColoredGra
         rows[v].append(p)
         candidates.append(v)
     psi = [0] * n
-    psi[0] = rng.randrange(1, m + 1)
+    psi[0] = 1 + _below(bits, m)
     for v in range(1, n):
         # uniform over [m] minus the parent color
-        c = rng.randrange(1, m)
+        c = 1 + _below(bits, m - 1)
         if c >= psi[rows[v][0]]:
             c += 1
         psi[v] = c

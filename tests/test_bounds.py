@@ -18,7 +18,7 @@ from colorreduce import (MULTISET, SET, CapExceededError, ConstructionError,
 from colorreduce.bounds import (_blocking_set, _center_defect, _color_cover, _first_uncovered,
                                 _least_owned, random_defective_classes,
                                 random_independent_sets, random_relaxed_class)
-from colorreduce.nbhd import mutual_edge
+from colorreduce.nbhd import NbhdGraph, mutual_edge
 from conftest import run_python
 
 
@@ -931,3 +931,127 @@ def test_independent_sets_equal_the_row_by_row_walk(host_7_4):
 def test_refuters_refuse_non_integer_parameters(call, named):
     with pytest.raises(ParameterError, match="need integer .*" + re.escape(named)):
         call()
+
+
+# --- the class generators against their random.Random bodies ----------------
+
+def parent_independent_sets(graph, count, seed):
+    """random_independent_sets as it drew through random.Random.shuffle."""
+    rng = random.Random(seed)
+    out = []
+    n, rows = graph.n_vertices, graph.adjacency
+    twins = graph.variant == MULTISET
+    for _ in range(count):
+        order = list(range(n))
+        rng.shuffle(order)
+        blocked, chosen, met = set(), [], set()
+        for i in order:
+            if i in blocked:
+                continue
+            chosen.append(i)
+            row = rows[i]
+            if twins:
+                if id(row) in met:
+                    continue
+                met.add(id(row))
+            blocked.update(row)
+        out.append(frozenset(graph.vertices[i] for i in chosen))
+    return out
+
+
+def parent_defective_classes(m, delta, d, count, seed):
+    """random_defective_classes as it drew through random.Random's
+    randrange and sample."""
+    rng = random.Random(seed)
+    leaves = {c: View.leaf(MULTISET, c) for c in range(1, m + 1)}
+    out = []
+    for _ in range(count):
+        members, by_center, degrees = [], {}, {}
+        for _ in range(4 * m):
+            x = rng.randrange(1, m + 1)
+            size = rng.randrange(0, delta + 1)
+            a = frozenset(y + (y >= x) for y in rng.sample(range(1, m), min(size, m - 1)))
+            key = (x, a)
+            if key in degrees:
+                continue
+            touching = [u for y in a for u in by_center.get(y, ()) if x in u[1]]
+            if len(touching) > d or any(degrees[u] + 1 > d for u in touching):
+                continue
+            members.append(View.make(MULTISET, leaves[x], (leaves[y] for y in a)))
+            by_center.setdefault(x, []).append(key)
+            degrees[key] = len(touching)
+            for u in touching:
+                degrees[u] += 1
+        out.append(members)
+    return out
+
+
+def parent_relaxed_class(levels, size, seed, bound):
+    """random_relaxed_class as it drew through random.Random's randrange
+    and sample."""
+    rng = random.Random(seed)
+    top = levels[-1]
+    chosen, keys = set(), set()
+    for _ in range(size * 8):
+        if len(chosen) >= size:
+            break
+        i = rng.randrange(top.n_vertices)
+        x = top.vertices[i]
+        nbrs = [top.vertices[j] for j in top.adjacency[i]]
+        k = rng.randrange(0, min(bound, len(nbrs)) + 1)
+        node = View.make(SET, x, rng.sample(nbrs, k))
+        if any((y, x) in keys for y in node.child_lookup):
+            continue
+        chosen.add(node)
+        keys.update((x, y) for y in node.child_lookup)
+    return frozenset(chosen)
+
+
+def test_independent_sets_draw_what_random_random_drew(host_7_4):
+    one = NbhdGraph("relaxed", 2, 1, 0, SET, (leaf(SET, 1),), ((),))
+    hosts = [host_7_4, build_local1(5, 3, SET), build_relaxed_levels(2, 3, 2)[-1],
+             build_relaxed_levels(0, 2, 1)[0], one]
+    for host in hosts:
+        for seed in range(100):
+            for count in (0, 2):
+                got = random_independent_sets(host, count, seed)
+                assert got == parent_independent_sets(host, count, seed), (host.m, seed)
+
+
+@pytest.mark.parametrize("m, delta, d, count", [
+    (1, 0, 0, 2), (1, 3, 1, 2), (2, 0, 0, 2), (2, 1, 0, 2), (2, 3, 1, 1), (5, 3, 0, 2),
+    (5, 4, 1, 0), (32, 4, 1, 1), (72, 6, 1, 2), (72, 6, 0, 1),
+])
+def test_defective_classes_draw_what_random_random_drew(m, delta, d, count):
+    for seed in range(100):
+        got = random_defective_classes(m, delta, d, count, seed)
+        assert got == parent_defective_classes(m, delta, d, count, seed), seed
+
+
+@pytest.mark.parametrize("r, m, size, bound", [
+    (1, 7, 25, 4), (1, 7, 10, 0), (1, 2, 5, 1), (2, 3, 20, 2), (2, 5, 40, 4), (1, 9, 30, 6),
+    (1, 4, 0, 2),
+])
+def test_relaxed_class_draws_what_random_random_drew(r, m, size, bound):
+    levels = build_relaxed_levels(r - 1, m, max(bound, 1))
+    for seed in range(100):
+        got = random_relaxed_class(levels, size, seed, bound)
+        assert got == parent_relaxed_class(levels, size, seed, bound), seed
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed: random_independent_sets(_HOST_3_2, 1, seed),
+    lambda seed: random_defective_classes(5, 3, 1, 1, seed),
+    lambda seed: random_relaxed_class(_LEVELS_3_2, 3, seed, 2),
+], ids=["independent", "defective", "relaxed"])
+@pytest.mark.parametrize("seed", [None, 2.0, "2", False])
+def test_class_generators_need_integer_seeds(call, seed):
+    with pytest.raises(ParameterError, match=re.escape(f"need integer seed, got seed={seed!r}")):
+        call(seed)
+
+
+def test_relaxed_class_refuses_a_top_level_without_vertices():
+    empty = NbhdGraph("relaxed", 3, 2, 1, SET, (), ())
+    for size in (0, 3):
+        with pytest.raises(ParameterError, match="top level with at least one vertex"):
+            random_relaxed_class([empty], size, 0, 2)

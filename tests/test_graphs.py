@@ -11,7 +11,8 @@ from colorreduce import (ColorAssignment, ColoredGraph, CoverageError,
                          graph_from_json, graph_to_json, greedy_coloring,
                          random_colored_tree, validate_defective,
                          validate_proper)
-from colorreduce.graphs import _Rows
+from colorreduce.graphs import _Rows, _below, _sample, _seeded, _shuffle
+from conftest import run_python
 
 
 def path3():
@@ -213,6 +214,95 @@ def test_random_tree_rows_equal_edge_list_oracle(n, delta_cap, m, seed):
 def test_random_tree_refuses_non_integer_parameters(n, delta_cap, m):
     with pytest.raises(ParameterError, match="need integer"):
         random_colored_tree(n, delta_cap, m, 0)
+
+
+def parent_random_colored_tree(n, delta_cap, m, seed):
+    """random_colored_tree as it drew through random.Random's randrange."""
+    rng = random.Random(seed)
+    rows = [[] for _ in range(n)]
+    candidates = [0]
+    for v in range(1, n):
+        i = rng.randrange(len(candidates))
+        p = candidates[i]
+        rows[p].append(v)
+        if len(rows[p]) == delta_cap:
+            del candidates[i]
+        rows[v].append(p)
+        candidates.append(v)
+    psi = [0] * n
+    psi[0] = rng.randrange(1, m + 1)
+    for v in range(1, n):
+        c = rng.randrange(1, m)
+        if c >= psi[rows[v][0]]:
+            c += 1
+        psi[v] = c
+    return ColoredGraph(n, rows, psi, m, delta_cap)
+
+
+@pytest.mark.parametrize("n, delta_cap, m", [
+    (1, 2, 2), (2, 2, 2), (30, 2, 3), (30, 3, 2), (60, 8, 10**6), (24, 4, 100),
+])
+def test_random_tree_draws_what_random_random_drew(n, delta_cap, m):
+    for seed in range(100):
+        assert random_colored_tree(n, delta_cap, m, seed) == parent_random_colored_tree(
+            n, delta_cap, m, seed), seed
+
+
+# widths on both sides of bit-length boundaries, up to 2**40 + 3
+_WIDTHS = sorted({1, 2, 3, 5, 6, 7, 71, 72, 73, 10**6, 2**40 + 3}
+                 | {2**b + e for b in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 40) for e in (-1, 0, 1)})
+_SAMPLES = [(0, 0), (1, 0), (1, 1), (5, 5), (21, 5), (22, 5), (21, 6), (22, 6), (85, 6),
+            (86, 6), (71, 5), (71, 6), (71, 3), (300, 12), (1000, 12), (1000, 1), (12, 12)]
+
+
+def test_seeded_draws_equal_random_random():
+    for seed in [*range(200), -1, -(2**70), 2**64 + 5]:
+        bits, rng = _seeded(seed), random.Random(seed)
+        mine = bits.__self__  # equal random() after each draw: equal stream states
+        for n in _WIDTHS:
+            assert _below(bits, n) == rng.randrange(n), (seed, n)
+            assert mine.random() == rng.random()
+        for size in (0, 1, 2, 3, 17, 64, 65, 300, 1470):
+            x, y = list(range(size)), list(range(size))
+            _shuffle(bits, x)
+            rng.shuffle(y)
+            assert x == y, (seed, size)
+            assert mine.random() == rng.random()
+        for n, k in _SAMPLES:
+            for population in (range(n), [f"v{i}" for i in range(n)]):
+                assert _sample(bits, population, k) == rng.sample(population, k), (seed, n, k)
+                assert mine.random() == rng.random()
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, "1", True, (1,)])
+def test_seeds_must_be_ints(seed):
+    with pytest.raises(ParameterError, match="need integer seed"):
+        _seeded(seed)
+    with pytest.raises(ParameterError, match="need integer seed"):
+        random_colored_tree(6, 3, 5, seed)
+
+
+def test_draw_helpers_refuse_empty_ranges_without_hanging():
+    # getrandbits(0) is always 0, so an unguarded rejection loop on n = 0
+    # never ends: run it where a timeout fails the test instead
+    script = (
+        "from colorreduce.graphs import _below, _seeded\n"
+        "for n in (0, -1, -(2**40)):\n"
+        "    try:\n"
+        "        _below(_seeded(0), n)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = run_python(script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "need n >= 1, got n=0", "need n >= 1, got n=-1", f"need n >= 1, got n={-(2**40)}"]
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (3, 4), (3, -1), (30, 31), (30, -1)])
+def test_sample_refuses_sizes_outside_the_population(n, k):
+    with pytest.raises(ValueError, match="need 0 <= k"):
+        _sample(_seeded(0), range(n), k)
 
 
 def _first_one_sided(rows):
